@@ -10,14 +10,12 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use synchrony::{Adversary, FailurePattern, InputVector, ModelError};
 
 use crate::space::{OmissionConfig, OmissionSpace, PatternModel, PatternSpace};
 
 /// The scope of an exhaustive enumeration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnumerationConfig {
     /// Number of processes.
     pub n: usize,
@@ -551,7 +549,8 @@ fn decode_input(n: usize, max_value: u64, code: u128) -> InputVector {
 /// allocations per adversary.  `materialized` stays at one per cursor (the
 /// first advance) and `patterns_unranked` at one per structure block
 /// touched, so `materialized / (materialized + stepped) → 0` as the range
-/// grows — the property the `bench_block_cursor` snapshot asserts.
+/// grows — the property `block_cursor_is_invisible_to_folds_and_materializes_nothing`
+/// in `crates/sweep/tests/determinism.rs` asserts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CursorCounters {
     /// Adversaries produced by a full materialization (an [`AdversarySpace::nth`]

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use synchrony::{Adversary, FailurePattern, InputVector};
 
@@ -12,7 +11,7 @@ use synchrony::{Adversary, FailurePattern, InputVector};
 /// independently crashes with probability `crash_probability` (subject to the
 /// budget `t`), at a uniformly random round in `{1, …, max_crash_round}`,
 /// delivering its final messages to a uniformly random subset of processes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomConfig {
     /// Number of processes.
     pub n: usize,

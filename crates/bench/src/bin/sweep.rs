@@ -5,7 +5,6 @@
 //! # one-shot (in-process) experiments, as before
 //! sweep <thm1|omission|thm3|fig4|prop2|all> [--model crash|omission]
 //!       [--shards N] [--threads N] [--seed N]
-//!       [--no-cache] [--no-reuse] [--no-cursor]
 //!
 //! # the service layer
 //! sweep serve    (--socket PATH | --tcp ADDR) [--workers N]
@@ -58,7 +57,7 @@ use sweep::SweepConfig;
 const LOG_TARGET: &str = "sweep::cli";
 
 const USAGE: &str = "usage: sweep <thm1|omission|thm3|fig4|prop2|all> [--model crash|omission] \
-                     [--shards N] [--threads N] [--seed N] [--no-cache] [--no-reuse] [--no-cursor]\n\
+                     [--shards N] [--threads N] [--seed N]\n\
        sweep serve    (--socket PATH | --tcp ADDR) [--workers N] [--dispatchers N] \
                       [--queue-capacity N] [--cache-dir PATH] [--cache-budget BYTES] \
                       [--lease-ttl-ms N] [--auth-token TOKEN] [--stats-interval SECS]\n\
@@ -161,13 +160,13 @@ fn experiment_main(experiment: &str, mut args: impl Iterator<Item = String>) {
                 println!("{}", report::THM1_CLAIM);
                 // Stats may vary with parallelism; stderr keeps stdout diffs
                 // (the CI determinism smoke test) parallelism-invariant.
-                telemetry::log::info(LOG_TARGET, report::sweep_stats_line(&stats), &[]);
+                telemetry::log::info(LOG_TARGET, stats.stats_line(), &[]);
             }
             "omission" => {
                 let (rows, stats) = experiments::omission_with_stats(&config)?;
                 println!("{}", report::omission_table(&rows));
                 println!("{}", report::OMISSION_CLAIM);
-                telemetry::log::info(LOG_TARGET, report::sweep_stats_line(&stats), &[]);
+                telemetry::log::info(LOG_TARGET, stats.stats_line(), &[]);
             }
             "thm3" => {
                 println!("{}", report::thm3_table(&experiments::thm3(&config)?));

@@ -1,23 +1,21 @@
-//! Shared infrastructure for the experiment binaries and Criterion benches.
+//! Shared infrastructure for the `sweep` CLI and the experiment binaries.
 //!
-//! Every figure-level claim of the paper has a corresponding experiment
-//! binary under `src/bin/`; this library provides the shared plumbing they
-//! need:
+//! The headline claims of the paper (Theorem 1, Theorem 3, Fig. 4,
+//! Proposition 2) run on the sharded sweep engine of the `sweep` crate and
+//! are printed by `sweep <thm1|omission|thm3|fig4|prop2>`; the remaining
+//! figure-level claims have small single-scenario demonstration binaries
+//! under `src/bin/`.  This library provides the shared plumbing they need:
 //!
 //! * [`Table`] — the plain-text result tables the binaries print, mirroring
 //!   the rows the paper reports;
 //! * [`summarize`] — decision-time statistics over the correct processes of
 //!   a run, and [`run_sweep`] — every protocol on one shared adversary;
 //! * [`report`] — renderers for the result structs of
-//!   `sweep::experiments`, shared between the per-experiment `exp_*`
-//!   binaries and the unified `sweep` CLI so both print byte-identical
-//!   output.
-//!
-//! The headline experiments (Theorem 1, Theorem 3, Fig. 4, Proposition 2)
-//! run on the sharded sweep engine of the `sweep` crate; the corresponding
-//! binaries accept `--shards`, `--threads` and `--seed` flags and their
-//! fold results are independent of both parallelism knobs.  The remaining
-//! binaries are small single-scenario demonstrations and stay sequential.
+//!   `sweep::experiments`, shared by the one-shot and daemon modes of the
+//!   `sweep` CLI so both print byte-identical output;
+//! * [`sweep_config_from_args`] — the `--shards`/`--threads`/`--seed`
+//!   flags of the one-shot mode, whose fold results are independent of both
+//!   parallelism knobs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -95,11 +93,10 @@ impl fmt::Display for Table {
     }
 }
 
-/// Parses the sweep flags shared by the experiment binaries and the `sweep`
-/// CLI — `--shards N`, `--threads N`, `--seed N`, `--no-cache`,
-/// `--no-reuse`, `--no-cursor` — into a [`sweep::SweepConfig`], starting
-/// from the engine defaults (automatic parallelism, seed 1605, analysis
-/// cache, run-structure reuse and the block cursor all on).
+/// Parses the sweep flags of the `sweep` CLI's one-shot mode — `--shards
+/// N`, `--threads N`, `--seed N` — into a [`sweep::SweepConfig`], starting
+/// from the engine defaults (automatic parallelism, seed 1605, every
+/// optimization layer on).
 ///
 /// # Errors
 ///
@@ -128,60 +125,10 @@ pub fn sweep_config_from_args(
                     .parse()
                     .map_err(|e| format!("invalid --seed value: {e}"))?;
             }
-            "--no-cache" => {
-                config.cache = false;
-            }
-            "--no-reuse" => {
-                config.reuse = false;
-            }
-            "--no-cursor" => {
-                config.cursor = false;
-            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
     Ok(config)
-}
-
-/// Absolute path of `file` at the workspace root, independent of the
-/// current directory.
-///
-/// The `bench_*` snapshot binaries used to resolve `BENCH_*.json` relative
-/// to the CWD, which broke the snapshot chain (each bench reads its
-/// predecessor's baseline) whenever they were launched from anywhere but
-/// the repository root — e.g. from `scripts/ci.sh --bench` invoked out of
-/// tree, or from the daemon smoke stage.  This anchors the default paths
-/// to the workspace root derived from this crate's manifest directory at
-/// compile time; explicit CLI arguments still override it.
-pub fn workspace_path(file: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels below the workspace root")
-        .join(file)
-}
-
-/// Runs `f` once to warm caches and code paths, then `runs` more times, and
-/// returns the **minimum** wall time in milliseconds together with the last
-/// result — the measurement discipline of the `bench_*` snapshot binaries.
-///
-/// The minimum (rather than the mean) is the standard low-noise estimator
-/// on a shared machine: every source of interference only ever makes a run
-/// slower, so the fastest observation is the closest to the true cost.
-///
-/// # Panics
-///
-/// Panics if `runs` is zero.
-pub fn measure_min_ms<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    assert!(runs > 0, "at least one measured run is required");
-    let mut result = f(); // warmup
-    let mut best_ms = f64::INFINITY;
-    for _ in 0..runs {
-        let start = std::time::Instant::now();
-        result = f();
-        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    (best_ms, result)
 }
 
 /// Decision-time statistics over the correct processes of a single run.

@@ -27,15 +27,13 @@
 //! silence the observer noticed in the following round), so the conditions
 //! below strictly imply the conditions of `Optmin[k]` / `u-Pmin[k]`.
 
-use serde::{Deserialize, Serialize};
-
 use synchrony::Value;
 
 use crate::{DecisionContext, Protocol};
 
 /// The classical worst-case-optimal protocol: decide the minimum value seen at
 /// time `⌊t/k⌋ + 1`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FloodMin;
 
 impl Protocol for FloodMin {
@@ -52,7 +50,7 @@ impl Protocol for FloodMin {
 /// discovered failures, representative of the early-deciding protocols in the
 /// literature: decide the minimum seen at the first time some past round
 /// revealed fewer than `k` new failures, or at the worst-case bound.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EarlyFloodMin;
 
 impl Protocol for EarlyFloodMin {
@@ -77,7 +75,7 @@ impl Protocol for EarlyFloodMin {
 /// protocols in the literature (`⌊f/k⌋ + 2`-round style).  The structure
 /// mirrors `u-Pmin[k]`, with the clean-round condition replacing the
 /// hidden-capacity condition.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EarlyUniformFloodMin;
 
 impl Protocol for EarlyUniformFloodMin {

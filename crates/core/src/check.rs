@@ -41,14 +41,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use synchrony::{ProcessId, Run, Time, Value, ValueSet};
 
 use crate::{TaskParams, TaskVariant, Transcript};
 
 /// A violation of one of the `k`-set consensus properties in a specific run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
     /// A process decided a value that no process started with.
     Validity {

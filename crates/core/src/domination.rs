@@ -15,14 +15,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use synchrony::{Adversary, ModelError, ProcessId, Run, Time};
 
 use crate::{BatchRunner, Protocol, TaskParams, Transcript};
 
 /// The possible relations between two protocols over a set of adversaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DominationRelation {
     /// Identical decision times everywhere.
     Equivalent,
@@ -50,7 +48,7 @@ impl fmt::Display for DominationRelation {
 
 /// A witness that one protocol decided strictly earlier than another for a
 /// specific process in a specific adversary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImprovementWitness {
     /// Index of the adversary in the compared set.
     pub adversary_index: usize,
@@ -63,7 +61,7 @@ pub struct ImprovementWitness {
 }
 
 /// The outcome of comparing two protocols over a set of adversaries.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DominationReport {
     first: String,
     second: String,
@@ -234,7 +232,7 @@ pub fn compare(
 
 /// The last-decider comparison of §4.2.1: for each adversary, compares the
 /// time of the *last* decision taken under each protocol.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LastDeciderReport {
     first: String,
     second: String,

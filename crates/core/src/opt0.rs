@@ -10,8 +10,6 @@
 //! `< 1`.  The type is kept separate so that examples and experiments can
 //! refer to the protocol under its published name.
 
-use serde::{Deserialize, Serialize};
-
 use synchrony::Value;
 
 use crate::{DecisionContext, Optmin, Protocol};
@@ -20,7 +18,7 @@ use crate::{DecisionContext, Optmin, Protocol};
 ///
 /// Use it with task parameters where `k = 1` and the value domain is
 /// `{0, 1}`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Opt0;
 
 impl Protocol for Opt0 {

@@ -11,8 +11,6 @@
 //! process decide earlier without some other process deciding later in some
 //! other run.
 
-use serde::{Deserialize, Serialize};
-
 use synchrony::Value;
 
 use crate::{DecisionContext, Protocol};
@@ -35,7 +33,7 @@ use crate::{DecisionContext, Protocol};
 /// assert!(transcript.decided_values().len() <= 2);
 /// # Ok::<(), synchrony::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Optmin;
 
 impl Protocol for Optmin {

@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use synchrony::{ProcessId, Run, Time, Value, ValueSet};
 
 /// A single decision: the time at which it was taken and the decided value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Decision {
     /// The time at which the process decided.
     pub time: Time,
@@ -21,7 +19,7 @@ pub struct Decision {
 /// Faulty processes may appear with decisions they took before crashing —
 /// these count towards Uniform `k`-Agreement but not towards the nonuniform
 /// variant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transcript {
     pub(crate) protocol: String,
     pub(crate) decisions: Vec<Option<Decision>>,

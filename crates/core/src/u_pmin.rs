@@ -16,8 +16,6 @@
 //! Fig. 4 adversary family in the `adversary` crate).  Whether it is
 //! unbeatable is the paper's Conjecture 1.
 
-use serde::{Deserialize, Serialize};
-
 use synchrony::Value;
 
 use crate::{DecisionContext, Protocol};
@@ -34,7 +32,7 @@ use crate::{DecisionContext, Protocol};
 /// assert!(check::check(&run, &transcript, &params, TaskVariant::Uniform).is_empty());
 /// # Ok::<(), synchrony::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UPmin;
 
 impl Protocol for UPmin {
@@ -81,7 +79,7 @@ impl Protocol for UPmin {
 /// Castañeda, Gonczarowski and Moses (2014).  `u-Pmin[k]` generalizes it: for
 /// `k = 1` the two protocols coincide, so this type simply runs `u-Pmin` and
 /// asserts the parameterization.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UOpt0;
 
 impl Protocol for UOpt0 {

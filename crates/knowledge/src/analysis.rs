@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use synchrony::{ModelError, Node, PidSet, Round, Run, SeenLayers, Time, Value, ValueSet};
 
 use crate::{DirectObservations, HiddenCapacity, NodeStatus};
@@ -23,7 +21,7 @@ use crate::{DirectObservations, HiddenCapacity, NodeStatus};
 /// * the failures the observer has directly missed, which drive the classical
 ///   early-deciding baselines;
 /// * the persistence predicate of Definition 3.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViewAnalysis {
     node: Node,
     n: usize,

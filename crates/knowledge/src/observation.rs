@@ -16,13 +16,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use synchrony::{Node, PidSet, Round, Run, Time};
 
 /// The failures directly observed by a node `⟨i, m⟩`: for every round
 /// `ρ ≤ m`, the processes whose round-`ρ` message to `i` never arrived.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirectObservations {
     observer: Node,
     /// `missed_by_round[ρ]` (index 0 unused): processes missed in rounds `≤ ρ`.

@@ -3,11 +3,9 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The three kinds of information an observer `⟨i, m⟩` can have about another
 /// node `⟨j, ℓ⟩` in a run of the full-information protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeStatus {
     /// `⟨j, ℓ⟩` is *seen by* `⟨i, m⟩`: a message chain carried `j`'s time-`ℓ`
     /// state to `i` by time `m`.

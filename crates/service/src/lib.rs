@@ -10,9 +10,8 @@
 //! knob-invariance, PRs 1–4) is exactly what makes per-shard accumulators
 //! safe to cache across requests.  Module map:
 //!
-//! * [`wire`] — the line-delimited JSON protocol (hand-rolled, with
-//!   `ToWire`/`FromWire` traits shaped for an eventual swap to the real
-//!   serde; see `vendor/README.md`);
+//! * [`wire`] — the line-delimited JSON protocol (a hand-rolled codec:
+//!   `ToWire`/`FromWire` traits over a small JSON value model);
 //! * [`fingerprint`] — the cache key: scope, protocol set, reducer id,
 //!   seed, shard partition and code version, with the invalidation rule on
 //!   version mismatch;

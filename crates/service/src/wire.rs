@@ -3,24 +3,17 @@
 //! Every frame exchanged between `sweep serve` and `sweep submit` is one
 //! line of JSON terminated by `\n` — the rustengan/Maelstrom shape: a
 //! blocking reader can parse frames with nothing but `read_line`, and a
-//! human can drive the daemon with `nc -U`.  The vendored `serde` stubs do
-//! not serialize (see `vendor/README.md`), so the codec here is hand
-//! rolled around a small JSON [`Value`] model and two traits:
+//! human can drive the daemon with `nc -U`.  The codec is hand rolled
+//! around a small JSON [`Value`] model and two traits:
 //!
-//! * [`ToWire`] — renders a type into a [`Value`] (the analogue of
-//!   `serde::Serialize`);
-//! * [`FromWire`] — rebuilds a type from a [`Value`] (the analogue of
-//!   `serde::Deserialize`), rejecting missing fields, wrong types and
-//!   out-of-range numbers with a [`WireError`] instead of panicking.
+//! * [`ToWire`] — renders a type into a [`Value`];
+//! * [`FromWire`] — rebuilds a type from a [`Value`], rejecting missing
+//!   fields, wrong types and out-of-range numbers with a [`WireError`]
+//!   instead of panicking.
 //!
-//! **Swapping in the real serde** (once the build environment has network
-//! access): `Value` is isomorphic to `serde_json::Value` with ordered
-//! object fields, and each `ToWire`/`FromWire` impl is the explicit form
-//! of a `#[derive(Serialize, Deserialize)]` plus `#[serde(tag = "type")]`
-//! on [`Frame`].  The swap replaces the impls with derives and
-//! [`encode_line`]/[`decode_line`] with `serde_json::to_string`/
-//! `from_str`; the on-wire format is designed to come out identical, so
-//! old clients keep working.
+//! Frames are tagged by their `"type"` field; each `ToWire`/`FromWire` impl
+//! spells out its fields, so the on-wire format is fixed by this module
+//! alone.
 //!
 //! The frame grammar (the full lifecycle is diagrammed in
 //! `docs/ARCHITECTURE.md`):
@@ -106,15 +99,13 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Renders a type into a wire [`Value`] — the hand-rolled analogue of
-/// `serde::Serialize` (see the module docs for the swap path).
+/// Renders a type into a wire [`Value`].
 pub trait ToWire {
     /// Returns the wire representation of `self`.
     fn to_wire(&self) -> Value;
 }
 
-/// Rebuilds a type from a wire [`Value`] — the hand-rolled analogue of
-/// `serde::Deserialize`.
+/// Rebuilds a type from a wire [`Value`].
 pub trait FromWire: Sized {
     /// Parses `value` into `Self`.
     ///

@@ -1,9 +1,8 @@
 //! Wire-format round-trip property tests: every frame the protocol can
 //! produce encodes to one JSON line that decodes back to an equal value,
-//! and adversarial or truncated input is rejected instead of panicking —
-//! the offline seed of the ROADMAP's "serde round-trip tests" item (the
-//! same frames keep round-tripping when the vendored stubs are swapped
-//! for the real serde, because the wire shape is fixed by hand).
+//! and adversarial or truncated input is rejected instead of panicking.
+//! The wire shape is fixed by hand in `service::wire`, so these tests pin
+//! the on-wire format itself.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -150,11 +150,11 @@ impl SweepStats {
     }
 
     /// Renders the statistics as the canonical one-line stderr trailer the
-    /// experiment binaries and the `sweep serve` daemon print — the format
+    /// `sweep` CLI and the `sweep serve` daemon print — the format
     /// documented field by field in the crate docs ("The stderr stats
-    /// line").  Every consumer (the `exp_*` binaries, the `sweep` CLI, the
-    /// service daemon and client) goes through this one renderer so the
-    /// line stays greppable across the whole stack.
+    /// line").  Every consumer (the `sweep` CLI, the service daemon and
+    /// client, the benchmark) goes through this one renderer so the line
+    /// stays greppable across the whole stack.
     pub fn stats_line(&self) -> String {
         format!(
             "sweep stats: {} scenarios; knowledge analyses: {} requested, {} constructed, \

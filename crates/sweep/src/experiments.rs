@@ -1,10 +1,9 @@
 //! The paper's headline experiments, ported onto the sweep engine.
 //!
-//! Each function here reproduces the fold computed by one of the historical
-//! `exp_*` binaries in `crates/bench/src/bin/`, but sharded and
-//! work-stealing: the same [`SweepConfig::seed`] produces bit-identical
-//! results for every shard and thread count, so `sweep thm1 --threads 16`
-//! and the sequential `exp_thm1_unbeatability` binary print the same
+//! Each function here computes the fold behind one paper claim, sharded
+//! and work-stealing: the same [`SweepConfig::seed`] produces
+//! bit-identical results for every shard and thread count, so
+//! `sweep thm1 --threads 16` and `sweep thm1 --threads 1` print the same
 //! tables.  Formatting lives in `bench_harness::report`; this module only
 //! produces the data.
 

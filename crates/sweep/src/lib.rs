@@ -48,8 +48,8 @@
 //!   `--threads 64`;
 //! * [`experiments`] — the paper's headline experiments (Theorem 1,
 //!   Theorem 3, Fig. 4, Proposition 2) ported onto the engine; the `sweep`
-//!   CLI binary and the `exp_*` binaries in the `bench_harness` crate are
-//!   thin formatting wrappers around them.
+//!   CLI binary in the `bench_harness` crate is a thin formatting wrapper
+//!   around them.
 //!
 //! The three reuse layers — analysis cache, run-structure memo, block
 //! cursor — are documented as one system in `docs/ARCHITECTURE.md` at the
@@ -57,7 +57,7 @@
 //!
 //! # The stderr stats line
 //!
-//! The experiment binaries print the engine's [`SweepStats`] as a one-line
+//! The `sweep` CLI prints the engine's [`SweepStats`] as a one-line
 //! stderr trailer (stdout stays parallelism-invariant for diffing).  Its
 //! fields, in order:
 //!
@@ -84,8 +84,8 @@
 //!   number of failure patterns unranked (once per structure block).  With
 //!   the block cursor on, steady state shows `mat` equal to the number of
 //!   non-empty shards and `pat` equal to the number of pattern blocks —
-//!   zero per-scenario allocations; with `--no-cursor` every scenario is
-//!   `materialized`.  `in-place rate` is `st / (st + mat)`.
+//!   zero per-scenario allocations; with [`SweepConfig::cursor`] off every
+//!   scenario is `materialized`.  `in-place rate` is `st / (st + mat)`.
 //!
 //! The counters describe *how* the fold was computed and may legally vary
 //! with the shard/thread counts; the fold value itself never does.

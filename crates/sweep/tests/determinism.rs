@@ -110,9 +110,9 @@ fn random_family_fold_is_seed_deterministic_and_shard_invariant() {
 }
 
 /// The ported experiments themselves are shard- and thread-invariant (the
-/// acceptance criterion behind `sweep <exp>` matching the `exp_*`
-/// binaries).  Fig. 4 and Theorem 3 are the cheap ones; Theorem 1 and
-/// Proposition 2 are covered by the same engine path.
+/// acceptance check behind `sweep <exp>` printing the same tables at
+/// every `--shards`/`--threads`).  Fig. 4 and Theorem 3 are the cheap
+/// ones; Theorem 1 and Proposition 2 are covered by the same engine path.
 #[test]
 fn ported_experiments_are_parallelism_invariant() {
     let sequential = SweepConfig::sequential();
@@ -377,6 +377,35 @@ fn block_cursor_is_invisible_to_folds_and_materializes_nothing() {
             }
         }
     }
+
+    // The same steady state on the real Theorem 1 fold, summed over
+    // several built-in scopes the way `experiments::thm1_with_stats` sums
+    // them (the two cheap cases; the other two add only debug-build time):
+    // a sequential sweep materializes once per scope, steps everything
+    // else, and unranks one pattern per simulated structure.
+    use sweep::experiments::{thm1_job, thm1_scope, thm1_source, Thm1Reducer};
+    let cases = [(3, 1, 1), (5, 2, 2)];
+    let mut thm1_stats = sweep::SweepStats::default();
+    for (n, t, k) in cases {
+        let source = thm1_source(thm1_scope(n, t, k), k).unwrap();
+        let (_, case_stats) =
+            sweep_with_stats(&source, &SweepConfig::sequential(), &Thm1Reducer, thm1_job).unwrap();
+        thm1_stats.merge(case_stats);
+    }
+    assert_eq!(
+        thm1_stats.cursor.materialized,
+        cases.len() as u64,
+        "one wholesale materialization per sequentially swept scope"
+    );
+    assert_eq!(
+        thm1_stats.cursor.stepped,
+        thm1_stats.scenarios - thm1_stats.cursor.materialized,
+        "every non-first scenario must be stepped in place"
+    );
+    assert_eq!(
+        thm1_stats.cursor.patterns_unranked, thm1_stats.runs.simulated,
+        "one pattern unranking per simulated communication structure"
+    );
 }
 
 /// The per-shard engine hook behind the service daemon's accumulator

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ModelError, ProcessId, Value, ValueSet};
 
 /// The vector `v⃗ = (v_1, …, v_n)` of initial values, one per process.
@@ -19,7 +17,7 @@ use crate::{ModelError, ProcessId, Value, ValueSet};
 /// assert_eq!(inputs.value_of(1), Value::new(0));
 /// assert!(inputs.present_values().contains(2u64));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct InputVector {
     values: Vec<Value>,
 }

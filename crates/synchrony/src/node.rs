@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ProcessId, Time};
 
 /// A process–time node `⟨i, m⟩`: process `i` at time `m`.
@@ -18,7 +16,7 @@ use crate::{ProcessId, Time};
 /// let node = Node::new(2, Time::new(1));
 /// assert_eq!(node.to_string(), "⟨p2, 1⟩");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Node {
     /// The process component of the node.
     pub process: ProcessId,

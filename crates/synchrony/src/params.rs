@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ModelError, ProcessId};
 
 /// Static parameters of the synchronous system: the number of processes `n`
@@ -21,7 +19,7 @@ use crate::{ModelError, ProcessId};
 /// assert_eq!(params.processes().count(), 7);
 /// # Ok::<(), synchrony::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SystemParams {
     n: usize,
     t: usize,

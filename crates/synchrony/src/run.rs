@@ -20,8 +20,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{
     Adversary, FailurePattern, InputVector, ModelError, Node, PidSet, ProcessId, Round,
     SystemParams, Time, Value,
@@ -30,7 +28,7 @@ use crate::{
 /// The layers of nodes seen by a given observer node `⟨i, m⟩`: for every time
 /// `ℓ ≤ m`, the set of processes `j` such that `⟨j, ℓ⟩` is *seen by* `⟨i, m⟩`
 /// (i.e. there is a Lamport message chain from `⟨j, ℓ⟩` to `⟨i, m⟩`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SeenLayers {
     layers: Vec<PidSet>,
 }
@@ -112,7 +110,7 @@ pub enum StructureReuse {
 /// The structure is a pure function of `(params, failures, horizon)` — input
 /// values never enter the simulation — which is what makes it shareable
 /// across every input vector of a sweep (see [`Run::regenerate`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunStructure {
     params: SystemParams,
     failures: FailurePattern,
@@ -262,7 +260,7 @@ impl RunStructure {
 /// The horizon must be long enough for the protocols under study to decide;
 /// `⌊t/k⌋ + 2` always suffices for the protocols in this repository, and
 /// [`Run::generous_horizon`] provides a safe default of `t + 2`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Run {
     structure: RunStructure,
     inputs: InputVector,

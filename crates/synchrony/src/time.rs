@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point on the shared global clock (`0, 1, 2, …`).
 ///
 /// ```
@@ -20,10 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.round_ending_here(), Some(Round::new(2)));
 /// assert_eq!(Time::ZERO.round_ending_here(), None);
 /// ```
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Time(u32);
 
 impl Time {
@@ -121,8 +116,7 @@ impl fmt::Display for Time {
 /// assert_eq!(r.start_time(), Time::new(2));
 /// assert_eq!(r.end_time(), Time::new(3));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Round(u32);
 
 impl Round {

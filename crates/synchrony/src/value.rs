@@ -8,8 +8,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An initial or decision value.
 ///
 /// ```
@@ -19,10 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(v.is_low(3));
 /// assert!(!v.is_low(2));
 /// ```
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Value(u64);
 
 impl Value {
@@ -94,7 +89,7 @@ impl fmt::Display for Value {
 /// assert_eq!(vals.min(), Some(Value::new(1)));
 /// assert_eq!(vals.lows(2).len(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct ValueSet {
     values: BTreeSet<Value>,
 }

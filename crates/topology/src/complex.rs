@@ -3,8 +3,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Simplex;
 
 /// An abstract simplicial complex: a finite collection of simplices closed
@@ -24,7 +22,7 @@ use crate::Simplex;
 /// assert_eq!(complex.simplices_of_dim(1).count(), 4);
 /// assert!(complex.contains(&Simplex::new([0, 2])));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimplicialComplex {
     simplices: BTreeSet<Simplex>,
 }

@@ -3,8 +3,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An abstract simplex: a finite, non-empty set of vertex identifiers.
 ///
 /// The dimension of a simplex is one less than its cardinality; a vertex is a
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(triangle.dimension(), 2);
 /// assert_eq!(triangle.faces().count(), 7); // all non-empty proper and improper faces
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Simplex {
     vertices: BTreeSet<usize>,
 }

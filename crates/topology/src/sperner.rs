@@ -5,12 +5,10 @@
 //! produces an **odd** number of fully-colored full-dimensional simplices —
 //! the pigeonhole engine behind the topological proof of Lemma 1.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Simplex, Subdivision};
 
 /// A coloring of a subdivision's vertices by vertices of the base simplex.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Coloring {
     colors: Vec<usize>,
 }

@@ -1,26 +1,18 @@
 #!/usr/bin/env bash
 # Tier-1 verification in one command: formatting, lints, build, tests, docs,
-# and a service-daemon smoke stage.
+# and the smoke stages of the `sweep` CLI and service daemon.
 #
 #   scripts/ci.sh           # fmt --check + clippy -D warnings + tests
 #                           #   + doctests + cargo doc -D warnings
+#                           #   + determinism smoke (fig4 at 1 vs 4 threads)
 #                           #   + daemon smoke (serve/submit/cache/shutdown)
 #                           #   + omission smoke (cross-model cache isolation)
+#                           #   + restart smoke (durable cache replay)
 #                           #   + fleet smoke (workers, SIGKILL, re-queue)
 #                           #   + observability smoke (stats/--prom/--log-json)
-#   scripts/ci.sh --bench   # additionally re-record the perf snapshot chain
 #
-# The --bench arm runs the snapshot binaries in chain order —
-# `bench_sweep_cache` (analysis cache off vs on, reuse+cursor pinned off),
-# `bench_run_reuse` (structure reuse off vs on, cursor pinned off, reading
-# the freshly re-recorded cached baseline), `bench_block_cursor` (block
-# cursor off vs on, reading the freshly re-recorded reuse-on baseline),
-# then `bench_service_cache` (daemon warm vs cold, reading the freshly
-# re-recorded cursor-on baseline) and `bench_telemetry` (instrumented
-# daemon cold path + metric primitives, reading the freshly re-recorded
-# service-cache cold baseline) — and overwrites the checked-in
-# BENCH_*.json chain under one same-machine, best-of-N discipline; run it
-# on an otherwise idle machine.
+# Performance is measured separately, by the benchmark in perfbench/ (see
+# perfbench/README.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,18 +24,14 @@ cargo test --workspace -q
 cargo test --workspace --doc -q
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-# --- Daemon smoke -----------------------------------------------------------
-# Boot `sweep serve` on a temp socket, submit the same small thm1 job twice,
-# and assert: the folds diff clean, the second run is served 100% from the
-# shard-accumulator cache with zero shards executed, and shutdown is graceful
-# (the server process exits by itself — no orphaned workers — and removes its
-# socket file).  Binaries are run directly (not via `cargo run`) so the
-# server and client never contend for the cargo target-dir lock.
+# --- Smoke setup ------------------------------------------------------------
+# The smoke stages run the debug `sweep` binary directly (not via `cargo
+# run`) so servers and clients never contend for the cargo target-dir lock.
 cargo build -q -p bench_harness --bin sweep
 SMOKE_DIR="$(mktemp -d)"
 SMOKE_SOCK="$SMOKE_DIR/serve.sock"
-# A failing assertion below must not orphan the background daemon (the
-# very thing this stage asserts against) or leak the temp dir.
+# A failing assertion below must not orphan a background daemon (the very
+# thing the daemon smoke asserts against) or leak the temp dir.
 SERVE_PID=""
 WORKER1_PID=""
 WORKER2_PID=""
@@ -54,6 +42,21 @@ cleanup_smoke() {
     rm -rf "$SMOKE_DIR"
 }
 trap cleanup_smoke EXIT
+
+# --- Determinism smoke ------------------------------------------------------
+# One-shot folds are independent of parallelism: the fig4 table at one
+# thread must diff clean against four threads over eight shards.
+target/debug/sweep fig4 --threads 1 >"$SMOKE_DIR/fig4-seq.txt"
+target/debug/sweep fig4 --threads 4 --shards 8 >"$SMOKE_DIR/fig4-par.txt"
+diff "$SMOKE_DIR/fig4-seq.txt" "$SMOKE_DIR/fig4-par.txt"
+echo "ci.sh: determinism smoke passed (fig4 identical at 1 and 4 threads)"
+
+# --- Daemon smoke -----------------------------------------------------------
+# Boot `sweep serve` on a temp socket, submit the same small thm1 job twice,
+# and assert: the folds diff clean, the second run is served 100% from the
+# shard-accumulator cache with zero shards executed, and shutdown is graceful
+# (the server process exits by itself — no orphaned workers — and removes its
+# socket file).
 target/debug/sweep serve --socket "$SMOKE_SOCK" --workers 1 2>"$SMOKE_DIR/serve.log" &
 SERVE_PID=$!
 for _ in $(seq 1 100); do [[ -S "$SMOKE_SOCK" ]] && break; sleep 0.1; done
@@ -258,11 +261,3 @@ SERVE_PID=""
 trap - EXIT
 rm -rf "$SMOKE_DIR"
 echo "ci.sh: observability smoke passed (stats table/json/prom valid, JSON log clean)"
-
-if [[ "${1:-}" == "--bench" ]]; then
-    cargo run --release -p bench_harness --bin bench_sweep_cache
-    cargo run --release -p bench_harness --bin bench_run_reuse
-    cargo run --release -p bench_harness --bin bench_block_cursor
-    cargo run --release -p bench_harness --bin bench_service_cache
-    cargo run --release -p bench_harness --bin bench_telemetry
-fi

@@ -10,8 +10,8 @@ use topology::{homology, sperner, ProtocolComplex, Simplex, Subdivision};
 /// Proposition 2 for k = 1: every time-1 state with hidden capacity at least
 /// 1 (a hidden path) has a connected star complex in the one-round protocol
 /// complex.  (The `k = 2` case needs `n ≥ 2k + 1 = 5` for the premise to be
-/// satisfiable and is exercised by the release-mode experiment binary
-/// `exp_prop2_connectivity`, where the much larger enumeration is affordable.)
+/// satisfiable and is exercised by the release-mode `sweep prop2`, where the
+/// much larger enumeration is affordable.)
 #[test]
 fn proposition_two_holds_on_small_protocol_complexes() {
     for (n, t, k) in [(3usize, 1usize, 1usize), (4, 2, 1)] {
