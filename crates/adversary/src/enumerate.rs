@@ -368,6 +368,11 @@ impl PatternSpace for CrashSpace {
         self.num_patterns
     }
 
+    fn scope_key(&self) -> String {
+        let EnumerationConfig { n, t, max_crash_round, partial_delivery, .. } = self.config;
+        format!("crash n={n} t={t} rounds={max_crash_round} partial={partial_delivery}")
+    }
+
     fn pattern_at(&self, rank: u128) -> FailurePattern {
         assert!(
             rank < self.num_patterns,
@@ -517,14 +522,53 @@ impl AdversarySpace {
     /// (clamped to the space) — the allocation-free replacement for calling
     /// [`AdversarySpace::nth`] per index.  See [`AdversaryCursor`].
     pub fn cursor(&self, start: u128, end: u128) -> AdversaryCursor<'_> {
+        self.make_cursor(None, start, end)
+    }
+
+    /// Returns a block cursor over the sub-enumeration that crosses only the
+    /// patterns of rank `ranks[0], ranks[1], …` with every input vector:
+    /// index `i` of that enumeration is the adversary at
+    /// `nth(ranks[i / inputs_per_pattern()] · inputs_per_pattern() + i %
+    /// inputs_per_pattern())`.  The range is clamped to
+    /// `ranks.len() · inputs_per_pattern()`; stepping, counters and
+    /// scratch rules are those of [`AdversarySpace::cursor`].  The
+    /// symmetry-reduced sweep walks the canonical patterns of
+    /// [`crate::symmetry::OrbitTable`] through it.
+    ///
+    /// # Panics
+    ///
+    /// The cursor panics on reaching a rank outside the space.
+    pub fn cursor_over<'a>(
+        &'a self,
+        ranks: &'a [u128],
+        start: u128,
+        end: u128,
+    ) -> AdversaryCursor<'a> {
+        self.make_cursor(Some(ranks), start, end)
+    }
+
+    fn make_cursor<'a>(
+        &'a self,
+        ranks: Option<&'a [u128]>,
+        start: u128,
+        end: u128,
+    ) -> AdversaryCursor<'a> {
+        let patterns = ranks.map_or(self.num_patterns, |ranks| ranks.len() as u128);
         AdversaryCursor {
             space: self,
+            ranks,
             next: start,
-            end: end.min(self.len()),
+            end: end.min(patterns * self.num_inputs),
             digits: vec![0; self.space.n()],
             primed: false,
             counters: CursorCounters::default(),
         }
+    }
+
+    /// Returns the underlying pattern space, for callers that work on
+    /// patterns alone (the orbit tables of [`crate::symmetry`]).
+    pub fn pattern_space(&self) -> &dyn PatternSpace {
+        &*self.space
     }
 }
 
@@ -631,6 +675,9 @@ impl CursorCounters {
 #[derive(Debug)]
 pub struct AdversaryCursor<'a> {
     space: &'a AdversarySpace,
+    /// The pattern rank of each block, for a cursor over a sub-enumeration
+    /// ([`AdversarySpace::cursor_over`]); `None` walks every pattern.
+    ranks: Option<&'a [u128]>,
     /// Index of the next adversary to yield.
     next: u128,
     end: u128,
@@ -661,8 +708,10 @@ impl AdversaryCursor<'_> {
             return false;
         }
         let code = self.next % self.space.num_inputs;
+        let block = self.next / self.space.num_inputs;
+        let rank = self.ranks.map_or(block, |ranks| ranks[block as usize]);
         if !self.primed {
-            *scratch = self.space.nth(self.next);
+            *scratch = self.space.nth(rank * self.space.num_inputs + code);
             let base = self.space.max_value() as u128 + 1;
             let mut rest = code;
             for digit in &mut self.digits {
@@ -674,7 +723,7 @@ impl AdversaryCursor<'_> {
             self.counters.patterns_unranked += 1;
         } else if code == 0 {
             // Block boundary: a fresh failure pattern, input code back to 0.
-            let pattern = self.space.pattern_at(self.next / self.space.num_inputs);
+            let pattern = self.space.pattern_at(rank);
             scratch
                 .set_failures(pattern)
                 .expect("cursor patterns range over the scratch's processes");

@@ -17,7 +17,9 @@
 //!   system, used to spot-check the optimality claims;
 //! * [`space`] — the [`PatternSpace`] trait behind pluggable fault models
 //!   (the paper's crash space plus the mobile send-omission space) and the
-//!   conformance contract every space must honor.
+//!   conformance contract every space must honor;
+//! * [`symmetry`] — the process-renaming orbits of a pattern space, which
+//!   let exhaustive sweeps run one canonical pattern per orbit.
 //!
 //! ```
 //! use adversary::scenarios;
@@ -38,6 +40,7 @@ pub mod lemma2;
 pub mod random;
 pub mod scenarios;
 pub mod space;
+pub mod symmetry;
 
 pub use enumerate::{AdversarySpace, CrashSpace, EnumerationConfig};
 pub use lemma2::WitnessScenario;

@@ -99,6 +99,11 @@ pub trait PatternSpace: fmt::Debug + Send + Sync {
     /// Total number of failure patterns in the space.
     fn num_patterns(&self) -> u128;
 
+    /// Names the pattern set: two spaces with equal keys decode every rank
+    /// to the same pattern.  The input domain is not part of it.  Keys the
+    /// process-wide orbit tables of [`crate::symmetry`].
+    fn scope_key(&self) -> String;
+
     /// Decodes the pattern at position `rank` of the space's total order.
     ///
     /// # Panics
@@ -264,6 +269,11 @@ impl PatternSpace for OmissionSpace {
 
     fn num_patterns(&self) -> u128 {
         self.num_patterns
+    }
+
+    fn scope_key(&self) -> String {
+        let OmissionConfig { n, t, rounds, .. } = self.config;
+        format!("omission n={n} t={t} rounds={rounds}")
     }
 
     fn pattern_at(&self, rank: u128) -> FailurePattern {

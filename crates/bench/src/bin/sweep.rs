@@ -4,7 +4,7 @@
 //! ```text
 //! # one-shot (in-process) experiments, as before
 //! sweep <thm1|omission|thm3|fig4|prop2|all> [--model crash|omission]
-//!       [--shards N] [--threads N] [--seed N]
+//!       [--scope n,t,k[,maxv[,mcr[,pd]]]] [--shards N] [--threads N] [--seed N]
 //!
 //! # the service layer
 //! sweep serve    (--socket PATH | --tcp ADDR) [--workers N]
@@ -57,7 +57,7 @@ use sweep::SweepConfig;
 const LOG_TARGET: &str = "sweep::cli";
 
 const USAGE: &str = "usage: sweep <thm1|omission|thm3|fig4|prop2|all> [--model crash|omission] \
-                     [--shards N] [--threads N] [--seed N]\n\
+                     [--scope n,t,k[,maxv[,mcr[,pd]]]] [--shards N] [--threads N] [--seed N]\n\
        sweep serve    (--socket PATH | --tcp ADDR) [--workers N] [--dispatchers N] \
                       [--queue-capacity N] [--cache-dir PATH] [--cache-budget BYTES] \
                       [--lease-ttl-ms N] [--auth-token TOKEN] [--stats-interval SECS]\n\
@@ -128,14 +128,22 @@ fn experiment_main(experiment: &str, mut args: impl Iterator<Item = String>) {
     // `--model` selects the pattern space before the engine flags are
     // parsed: `--model omission` reroutes `thm1` onto its send-omission
     // twin (the only experiment with one), `--model crash` is the
-    // explicit default.  Everything else passes through untouched.
+    // explicit default.  `--scope` replaces the built-in cases of thm1 and
+    // omission with one custom case.  Everything else passes through
+    // untouched.
     let mut model = String::from("crash");
+    let mut scope: Option<ScopeSpec> = None;
     let mut passthrough = Vec::new();
     while let Some(arg) = args.next() {
-        if arg == "--model" {
-            model = args.next().unwrap_or_else(|| usage_exit("missing value for --model"));
-        } else {
-            passthrough.push(arg);
+        match arg.as_str() {
+            "--model" => {
+                model = args.next().unwrap_or_else(|| usage_exit("missing value for --model"));
+            }
+            "--scope" => {
+                let text = args.next().unwrap_or_else(|| usage_exit("missing value for --scope"));
+                scope = Some(parse_scope(&text));
+            }
+            _ => passthrough.push(arg),
         }
     }
     let experiment = match (experiment, model.as_str()) {
@@ -147,6 +155,9 @@ fn experiment_main(experiment: &str, mut args: impl Iterator<Item = String>) {
         (_, other) => usage_exit(&format!("unknown --model {other:?} (crash|omission)")),
     };
     let experiment = experiment.as_str();
+    if scope.is_some() && !matches!(experiment, "thm1" | "omission") {
+        usage_exit("--scope only applies to thm1/omission");
+    }
     let config = match sweep_config_from_args(passthrough.into_iter()) {
         Ok(config) => config,
         Err(message) => usage_exit(&message),
@@ -155,7 +166,11 @@ fn experiment_main(experiment: &str, mut args: impl Iterator<Item = String>) {
     let run = |name: &str| -> Result<(), synchrony::ModelError> {
         match name {
             "thm1" => {
-                let (rows, stats) = experiments::thm1_with_stats(&config)?;
+                let (rows, stats) = match scope {
+                    Some(s) => experiments::thm1_case(&config, s.enumeration(), s.k)
+                        .map(|(row, stats)| (vec![row], stats))?,
+                    None => experiments::thm1_with_stats(&config)?,
+                };
                 println!("{}", report::thm1_table(&rows));
                 println!("{}", report::THM1_CLAIM);
                 // Stats may vary with parallelism; stderr keeps stdout diffs
@@ -163,7 +178,11 @@ fn experiment_main(experiment: &str, mut args: impl Iterator<Item = String>) {
                 telemetry::log::info(LOG_TARGET, stats.stats_line(), &[]);
             }
             "omission" => {
-                let (rows, stats) = experiments::omission_with_stats(&config)?;
+                let (rows, stats) = match scope {
+                    Some(s) => experiments::omission_case(&config, s.omission(), s.k)
+                        .map(|(row, stats)| (vec![row], stats))?,
+                    None => experiments::omission_with_stats(&config)?,
+                };
                 println!("{}", report::omission_table(&rows));
                 println!("{}", report::OMISSION_CLAIM);
                 telemetry::log::info(LOG_TARGET, stats.stats_line(), &[]);
@@ -385,7 +404,11 @@ fn parse_scope(text: &str) -> ScopeSpec {
         k,
         max_value: parts.get(3).map_or(k as u64, |p| parse_number("--scope max_value", p)),
         max_crash_round: parts.get(4).map_or(2, |p| parse_number("--scope max_crash_round", p)),
-        partial_delivery: parts.get(5).map_or(n <= 4, |p| parse_number("--scope pd", p)),
+        partial_delivery: parts.get(5).map_or(n <= 4, |p| match *p {
+            "1" => true,
+            "0" => false,
+            p => parse_number("--scope pd", p),
+        }),
     }
 }
 

@@ -1,13 +1,13 @@
 //! The `sweep submit` client: submit a job, stream its frames, return the
 //! final result.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 
 use sweep::SweepStats;
 use telemetry::MetricsSnapshot;
 
 use crate::net::{ConnectOptions, Endpoint, Stream};
-use crate::wire::{self, encode_line, Frame, JobSpec, QueryResult, ShardDone};
+use crate::wire::{encode_line, Frame, FrameReader, JobSpec, QueryResult, ShardDone};
 use crate::ServiceError;
 
 /// Everything a completed job streamed back.
@@ -92,21 +92,14 @@ pub fn submit_with(
 ) -> Result<JobOutcome, ServiceError> {
     let mut stream = open(endpoint, options)?;
     write_frame(&mut stream, &Frame::Job(spec.clone()))?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut frames = FrameReader::new(BufReader::new(stream));
     let mut shard_frames = Vec::new();
     let mut partials = 0usize;
     loop {
-        line.clear();
-        let read =
-            reader.read_line(&mut line).map_err(|e| ServiceError::io("reading a frame", e))?;
-        if read == 0 {
+        let Some(frame) = frames.next_frame("reading a frame")? else {
             return Err(ServiceError::Protocol("connection closed before the job finished".into()));
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match wire::decode_line(&line)? {
+        };
+        match frame {
             Frame::ShardDone(frame) => shard_frames.push(frame),
             Frame::Partial(_) => partials += 1,
             Frame::JobDone(done) => {
@@ -163,37 +156,12 @@ pub fn cancel_with(
     job: u64,
     options: &ConnectOptions,
 ) -> Result<bool, ServiceError> {
-    let mut stream = open(endpoint, options)?;
-    write_frame(&mut stream, &Frame::Cancel { job })?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let read = reader
-            .read_line(&mut line)
-            .map_err(|e| ServiceError::io("reading the cancel ack", e))?;
-        if read == 0 {
-            return Err(ServiceError::Protocol("daemon closed without acknowledging".into()));
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match wire::decode_line(&line)? {
-            Frame::CancelAck { job: acked, found } => {
-                if acked != job {
-                    return Err(ServiceError::Protocol(format!(
-                        "cancel-ack for job {acked} while cancelling job {job}"
-                    )));
-                }
-                return Ok(found);
-            }
-            Frame::Error(error) => {
-                return Err(ServiceError::Remote { kind: error.kind, message: error.message })
-            }
-            other => {
-                return Err(ServiceError::Protocol(format!("unexpected frame {other:?}")));
-            }
-        }
+    match request(endpoint, options, &Frame::Cancel { job }, "cancel ack")? {
+        Frame::CancelAck { job: acked, found } if acked == job => Ok(found),
+        Frame::CancelAck { job: acked, .. } => Err(ServiceError::Protocol(format!(
+            "cancel-ack for job {acked} while cancelling job {job}"
+        ))),
+        other => Err(ServiceError::Protocol(format!("unexpected frame {other:?}"))),
     }
 }
 
@@ -218,30 +186,9 @@ pub fn stats_with(
     endpoint: &Endpoint,
     options: &ConnectOptions,
 ) -> Result<MetricsSnapshot, ServiceError> {
-    let mut stream = open(endpoint, options)?;
-    write_frame(&mut stream, &Frame::Stats)?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let read = reader
-            .read_line(&mut line)
-            .map_err(|e| ServiceError::io("reading the stats result", e))?;
-        if read == 0 {
-            return Err(ServiceError::Protocol("daemon closed without a stats result".into()));
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match wire::decode_line(&line)? {
-            Frame::StatsResult(snapshot) => return Ok(snapshot),
-            Frame::Error(error) => {
-                return Err(ServiceError::Remote { kind: error.kind, message: error.message })
-            }
-            other => {
-                return Err(ServiceError::Protocol(format!("unexpected frame {other:?}")));
-            }
-        }
+    match request(endpoint, options, &Frame::Stats, "stats result")? {
+        Frame::StatsResult(snapshot) => Ok(snapshot),
+        other => Err(ServiceError::Protocol(format!("unexpected frame {other:?}"))),
     }
 }
 
@@ -262,29 +209,29 @@ pub fn shutdown(endpoint: &Endpoint) -> Result<(), ServiceError> {
 ///
 /// As [`shutdown`].
 pub fn shutdown_with(endpoint: &Endpoint, options: &ConnectOptions) -> Result<(), ServiceError> {
+    match request(endpoint, options, &Frame::Shutdown, "shutdown ack")? {
+        Frame::ShuttingDown => Ok(()),
+        other => Err(ServiceError::Protocol(format!("unexpected frame {other:?}"))),
+    }
+}
+
+/// Sends one request frame and reads the daemon's single reply.  An error
+/// frame becomes [`ServiceError::Remote`]; a hang-up before the reply is a
+/// protocol violation naming what was `awaited`.
+fn request(
+    endpoint: &Endpoint,
+    options: &ConnectOptions,
+    frame: &Frame,
+    awaited: &str,
+) -> Result<Frame, ServiceError> {
     let mut stream = open(endpoint, options)?;
-    write_frame(&mut stream, &Frame::Shutdown)?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let read = reader
-            .read_line(&mut line)
-            .map_err(|e| ServiceError::io("reading the shutdown ack", e))?;
-        if read == 0 {
-            return Err(ServiceError::Protocol("daemon closed without acknowledging".into()));
+    write_frame(&mut stream, frame)?;
+    let mut frames = FrameReader::new(BufReader::new(stream));
+    match frames.next_frame(&format!("reading the {awaited}"))? {
+        Some(Frame::Error(error)) => {
+            Err(ServiceError::Remote { kind: error.kind, message: error.message })
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match wire::decode_line(&line)? {
-            Frame::ShuttingDown => return Ok(()),
-            Frame::Error(error) => {
-                return Err(ServiceError::Remote { kind: error.kind, message: error.message })
-            }
-            other => {
-                return Err(ServiceError::Protocol(format!("unexpected frame {other:?}")));
-            }
-        }
+        Some(reply) => Ok(reply),
+        None => Err(ServiceError::Protocol(format!("daemon closed without the {awaited}"))),
     }
 }

@@ -53,7 +53,7 @@
 //! gates every connection; Unix sockets are exempt.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -82,8 +82,8 @@ use crate::net::{Endpoint, Listener, Stream};
 use crate::pool::WorkerPool;
 use crate::store::{CacheStore, DurableStore};
 use crate::wire::{
-    self, encode_line, ErrorFrame, ErrorKind, Frame, FromWire, JobDone, JobSpec, Partial,
-    QueryKind, QueryResult, ScopeSpec, ShardDone, TaskSpec, ToWire, Value,
+    self, encode_line, ErrorFrame, ErrorKind, Frame, FrameReader, FromWire, JobDone, JobSpec,
+    Partial, QueryKind, QueryResult, ScopeSpec, ShardDone, TaskSpec, ToWire, Value,
 };
 use crate::ServiceError;
 use telemetry::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
@@ -744,42 +744,22 @@ fn handle_connection(
     let Ok(write_half) = stream.try_clone() else { return };
     // The read timeout is what keeps shutdown graceful even while a client
     // (e.g. a human on `nc -U`) sits connected and idle: without it this
-    // thread would block in `read_line` forever and `Server::run` could
+    // thread would block on its next line forever and `Server::run` could
     // never join it.
     if stream.set_read_timeout(Some(CONNECTION_READ_TIMEOUT)).is_err() {
         return;
     }
     let reply: Reply = Arc::new(Mutex::new(write_half));
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    'connection: loop {
-        line.clear();
+    let mut frames = FrameReader::new(BufReader::new(stream));
+    loop {
         // Assemble one full line, waking on every read timeout to check
-        // the shutdown flag.  A timeout may leave a partial line in the
-        // buffer; `read_line` appends, so nothing is lost across retries.
-        let read = loop {
-            match reader.read_line(&mut line) {
-                Ok(read) => break read,
-                Err(error)
-                    if matches!(
-                        error.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if shutdown.load(Ordering::Relaxed) {
-                        break 'connection;
-                    }
-                }
-                Err(_) => break 'connection,
-            }
-        };
-        if read == 0 {
+        // the shutdown flag (the reader keeps a partial line across
+        // retries).  An oversized line, even before authentication, gets
+        // a typed protocol error and the connection is dropped.
+        if !next_line_or_shutdown(&mut frames, shutdown, &reply) {
             break;
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match wire::decode_line(&line) {
+        match wire::decode_line(frames.line()) {
             Ok(Frame::Hello { token }) => {
                 // Ignored where no auth is required (a client configured
                 // with a token may talk to an open daemon).
@@ -814,7 +794,7 @@ fn handle_connection(
                 // The connection becomes a worker session: it stops
                 // accepting job frames and serves the lease protocol
                 // until EOF or shutdown.
-                worker_session(reader, &reply, fleet, shutdown);
+                worker_session(frames, &reply, fleet, shutdown);
                 return;
             }
             Ok(Frame::Job(spec)) => {
@@ -891,13 +871,51 @@ fn handle_connection(
     }
 }
 
+/// Reads a connection's next frame line into `frames`; `false` once the
+/// connection should close: at EOF, on a read error, once `shutdown` is
+/// set (checked on every read timeout), or after a line that is oversized
+/// or not UTF-8, which is answered with a typed protocol error first.
+fn next_line_or_shutdown(
+    frames: &mut FrameReader<BufReader<Stream>>,
+    shutdown: &AtomicBool,
+    reply: &Reply,
+) -> bool {
+    loop {
+        match frames.read_line() {
+            Ok(ready) => return ready,
+            Err(error)
+                if matches!(
+                    error.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                if shutdown.load(Ordering::Relaxed) {
+                    return false;
+                }
+            }
+            Err(error) if error.kind() == std::io::ErrorKind::InvalidData => {
+                send_frame(
+                    reply,
+                    &Frame::Error(ErrorFrame {
+                        job: None,
+                        kind: ErrorKind::Protocol,
+                        message: error.to_string(),
+                    }),
+                );
+                return false;
+            }
+            Err(_) => return false,
+        }
+    }
+}
+
 /// Serves one registered worker connection: announces the worker to the
 /// lease table, then relays heartbeats and lease completions until EOF or
 /// shutdown.  Leaving the loop — however it happens — hands the worker's
 /// in-flight lease back to the table, which re-queues or falls it back,
 /// so a SIGKILLed worker can never strand a shard.
 fn worker_session(
-    mut reader: BufReader<Stream>,
+    mut frames: FrameReader<BufReader<Stream>>,
     reply: &Reply,
     fleet: &Arc<LeaseTable>,
     shutdown: &AtomicBool,
@@ -930,34 +948,13 @@ fn worker_session(
         format!("sweep serve: worker {worker} registered ({} in fleet)", fleet.live_workers()),
         &[("worker", worker.into()), ("fleet", fleet.live_workers().into())],
     );
-    let mut line = String::new();
-    'session: loop {
-        line.clear();
-        let read = loop {
-            match reader.read_line(&mut line) {
-                Ok(read) => break read,
-                Err(error)
-                    if matches!(
-                        error.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if shutdown.load(Ordering::Relaxed) {
-                        break 'session;
-                    }
-                }
-                Err(_) => break 'session,
-            }
-        };
-        if read == 0 {
+    loop {
+        if !next_line_or_shutdown(&mut frames, shutdown, reply) {
             break;
-        }
-        if line.trim().is_empty() {
-            continue;
         }
         // The session's own worker id is authoritative throughout — a
         // frame cannot heartbeat or complete on behalf of another worker.
-        match wire::decode_line(&line) {
+        match wire::decode_line(frames.line()) {
             Ok(Frame::Heartbeat { .. }) => fleet.heartbeat(worker, Instant::now()),
             Ok(Frame::LeaseDone(done)) => {
                 fleet.lease_done(
@@ -1203,16 +1200,7 @@ fn run_thm1(
     cancel: &Arc<AtomicBool>,
 ) -> Result<JobSummary, JobError> {
     let cases: Vec<(EnumerationConfig, usize)> = match &spec.scope {
-        Some(scope) => vec![(
-            EnumerationConfig {
-                n: scope.n,
-                t: scope.t,
-                max_value: scope.max_value,
-                max_crash_round: scope.max_crash_round,
-                partial_delivery: scope.partial_delivery,
-            },
-            scope.k,
-        )],
+        Some(scope) => vec![(scope.enumeration(), scope.k)],
         None => THM1_CASES.iter().map(|&(n, t, k)| (experiments::thm1_scope(n, t, k), k)).collect(),
     };
     let shards = resolved_shards(spec, pool);
@@ -1291,15 +1279,7 @@ fn run_omission(
     let cases: Vec<(OmissionConfig, usize)> = match &spec.scope {
         // The wire frame is shared with thm1: `max_crash_round` carries the
         // omission round horizon and `partial_delivery` is ignored.
-        Some(scope) => vec![(
-            OmissionConfig {
-                n: scope.n,
-                t: scope.t,
-                max_value: scope.max_value,
-                rounds: scope.max_crash_round,
-            },
-            scope.k,
-        )],
+        Some(scope) => vec![(scope.omission(), scope.k)],
         None => OMISSION_CASES
             .iter()
             .map(|&(n, t, k)| (experiments::omission_scope(n, t, k), k))

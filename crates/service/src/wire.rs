@@ -2,8 +2,9 @@
 //!
 //! Every frame exchanged between `sweep serve` and `sweep submit` is one
 //! line of JSON terminated by `\n` — the rustengan/Maelstrom shape: a
-//! blocking reader can parse frames with nothing but `read_line`, and a
-//! human can drive the daemon with `nc -U`.  The codec is hand rolled
+//! blocking reader parses frames line by line ([`FrameReader`], which caps
+//! a line at [`MAX_FRAME_BYTES`] so no peer can grow a reader's memory
+//! without bound), and a human can drive the daemon with `nc -U`.  The codec is hand rolled
 //! around a small JSON [`Value`] model and two traits:
 //!
 //! * [`ToWire`] — renders a type into a [`Value`];
@@ -41,6 +42,7 @@
 //! ```
 
 use std::fmt;
+use std::io::{self, BufRead};
 
 use sweep::experiments::{
     Fig4Acc, Fig4Row, Prop2ExhaustiveRow, Prop2Report, Prop2Targeted, Thm1Case, Thm1Outcome,
@@ -48,6 +50,8 @@ use sweep::experiments::{
 };
 use sweep::{CursorStats, SweepStats};
 use telemetry::{HistogramSnapshot, MetricsSnapshot};
+
+use crate::ServiceError;
 
 // ---------------------------------------------------------------------------
 // The JSON value model.
@@ -556,6 +560,30 @@ pub struct ScopeSpec {
     pub partial_delivery: bool,
 }
 
+impl ScopeSpec {
+    /// The crash-model enumeration scope the spec names.
+    pub fn enumeration(&self) -> adversary::EnumerationConfig {
+        adversary::EnumerationConfig {
+            n: self.n,
+            t: self.t,
+            max_value: self.max_value,
+            max_crash_round: self.max_crash_round,
+            partial_delivery: self.partial_delivery,
+        }
+    }
+
+    /// The send-omission scope the spec names (`max_crash_round` is the
+    /// round horizon).
+    pub fn omission(&self) -> adversary::OmissionConfig {
+        adversary::OmissionConfig {
+            n: self.n,
+            t: self.t,
+            max_value: self.max_value,
+            rounds: self.max_crash_round,
+        }
+    }
+}
+
 impl ToWire for ScopeSpec {
     fn to_wire(&self) -> Value {
         Value::Object(vec![
@@ -816,6 +844,7 @@ impl ToWire for SweepStats {
     fn to_wire(&self) -> Value {
         Value::Object(vec![
             ("scenarios".into(), Value::Int(self.scenarios as i128)),
+            ("covered".into(), Value::Int(self.covered as i128)),
             ("cache_hits".into(), Value::Int(self.cache.hits as i128)),
             ("cache_misses".into(), Value::Int(self.cache.misses as i128)),
             ("runs_simulated".into(), Value::Int(self.runs.simulated as i128)),
@@ -829,8 +858,15 @@ impl ToWire for SweepStats {
 
 impl FromWire for SweepStats {
     fn from_wire(value: &Value) -> Result<Self, WireError> {
+        let scenarios = value.field("scenarios")?.as_u64("stats.scenarios")?;
         Ok(SweepStats {
-            scenarios: value.field("scenarios")?.as_u64("stats.scenarios")?,
+            scenarios,
+            // Peers from before the symmetry reduction send no `covered`:
+            // each of their scenarios covered itself.
+            covered: match value.get("covered") {
+                Some(covered) => covered.as_u64("stats.covered")?,
+                None => scenarios,
+            },
             cache: knowledge::CacheStats {
                 hits: value.field("cache_hits")?.as_u64("stats.cache_hits")?,
                 misses: value.field("cache_misses")?.as_u64("stats.cache_misses")?,
@@ -1759,6 +1795,116 @@ pub fn encode_line(frame: &Frame) -> String {
     line
 }
 
+/// Longest frame line a peer may send, newline included.  Every reader of
+/// the service ([`FrameReader`]) drops a connection whose line grows
+/// past it, so a peer that never sends a newline cannot grow a reader's
+/// memory without bound.  The largest frames the test suites and the
+/// built-in jobs exchange are about 1.5 KB (a metrics snapshot, a Theorem 3
+/// or Fig. 4 job-done); the bound leaves room for far larger snapshots and
+/// results.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// Reads frame lines from a stream, at most [`MAX_FRAME_BYTES`] each.
+///
+/// Like `BufRead::read_line`, but bounded, and resumable: a read error
+/// such as a socket read timeout keeps the partial line, so calling
+/// [`FrameReader::read_line`] again continues it.
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    inner: R,
+    line: Vec<u8>,
+    /// Whether `line` holds a line already returned (cleared on the next
+    /// call) rather than a partial one.
+    complete: bool,
+}
+
+impl<R: BufRead> FrameReader<R> {
+    /// Wraps a buffered reader.
+    pub fn new(inner: R) -> Self {
+        FrameReader { inner, line: Vec::new(), complete: false }
+    }
+
+    /// Reads the next non-blank line; `Ok(true)` once it is available as
+    /// [`FrameReader::line`], `Ok(false)` at the end of the stream.  A
+    /// final line without a newline counts as a line.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reader's I/O errors (the partial line is kept), and an
+    /// [`io::ErrorKind::InvalidData`] error for a line longer than
+    /// [`MAX_FRAME_BYTES`] or not UTF-8.  After the latter the stream is
+    /// out of step with its frames: drop the connection.
+    pub fn read_line(&mut self) -> io::Result<bool> {
+        loop {
+            if self.complete {
+                self.line.clear();
+                self.complete = false;
+            }
+            let available = match self.inner.fill_buf() {
+                Ok(available) => available,
+                Err(error) if error.kind() == io::ErrorKind::Interrupted => continue,
+                Err(error) => return Err(error),
+            };
+            if available.is_empty() {
+                if self.line.is_empty() {
+                    return Ok(false);
+                }
+            } else {
+                let newline = available.iter().position(|&b| b == b'\n');
+                let take = newline.map_or(available.len(), |at| at + 1);
+                if self.line.len() + take > MAX_FRAME_BYTES {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("frame line exceeds {MAX_FRAME_BYTES} bytes"),
+                    ));
+                }
+                self.line.extend_from_slice(&available[..take]);
+                self.inner.consume(take);
+                if newline.is_none() {
+                    continue;
+                }
+            }
+            self.complete = true;
+            if self.line.iter().all(u8::is_ascii_whitespace) {
+                continue;
+            }
+            if std::str::from_utf8(&self.line).is_err() {
+                return Err(io::Error::new(io::ErrorKind::InvalidData, "frame line is not UTF-8"));
+            }
+            return Ok(true);
+        }
+    }
+
+    /// The line of the last successful [`FrameReader::read_line`], newline
+    /// included.
+    pub fn line(&self) -> &str {
+        if self.complete {
+            std::str::from_utf8(&self.line).unwrap_or_default()
+        } else {
+            ""
+        }
+    }
+
+    /// Reads and decodes the next frame, `None` at the end of the stream;
+    /// `context` names the wait in I/O errors.
+    ///
+    /// # Errors
+    ///
+    /// An oversized, non-UTF-8 or undecodable line is the peer's protocol
+    /// violation ([`ServiceError::Protocol`], [`ServiceError::Wire`]); any
+    /// other read failure is an [`ServiceError::Io`].
+    pub fn next_frame(&mut self, context: &str) -> Result<Option<Frame>, ServiceError> {
+        match self.read_line() {
+            Ok(true) => Ok(Some(decode_line(self.line())?)),
+            Ok(false) => Ok(None),
+            Err(error) if error.kind() == io::ErrorKind::InvalidData => {
+                Err(ServiceError::Protocol(error.to_string()))
+            }
+            Err(error) => Err(ServiceError::io(context, error)),
+        }
+    }
+}
+
 /// Decodes one line (with or without its trailing newline) into a frame.
 ///
 /// # Errors
@@ -1773,6 +1919,56 @@ pub fn decode_line(line: &str) -> Result<Frame, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn frame_reader_bounds_lines_and_skips_blanks() {
+        let stream = b"\n{\"type\":\"stats\"}\n  \n{\"type\":\"shutdown\"}".to_vec();
+        let mut reader = FrameReader::new(io::BufReader::with_capacity(4, &stream[..]));
+        assert!(reader.read_line().unwrap());
+        assert_eq!(reader.line(), "{\"type\":\"stats\"}\n");
+        assert_eq!(reader.next_frame("reading").unwrap(), Some(Frame::Shutdown));
+        assert!(!reader.read_line().unwrap());
+        assert_eq!(reader.line(), "");
+
+        let mut long = vec![b'x'; MAX_FRAME_BYTES - 1];
+        long.push(b'\n');
+        let mut reader = FrameReader::new(&long[..]);
+        assert!(reader.read_line().unwrap());
+        assert_eq!(reader.line().len(), MAX_FRAME_BYTES);
+        long.insert(0, b'x');
+        let error = FrameReader::new(&long[..]).read_line().unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        let error = FrameReader::new(&b"\xff\xfe\n"[..]).read_line().unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A read error mid-line (a socket read timeout) keeps the partial
+    /// line; the next call completes it.
+    #[test]
+    fn frame_reader_resumes_after_a_timeout() {
+        struct Stutter(Vec<&'static [u8]>);
+        impl io::Read for Stutter {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                match self.0.first().copied() {
+                    None => Ok(0),
+                    Some(b"") => {
+                        self.0.remove(0);
+                        Err(io::ErrorKind::WouldBlock.into())
+                    }
+                    Some(chunk) => {
+                        buf[..chunk.len()].copy_from_slice(chunk);
+                        self.0.remove(0);
+                        Ok(chunk.len())
+                    }
+                }
+            }
+        }
+        let stream = Stutter(vec![b"{\"type\":", b"", b"\"stats\"}\n"]);
+        let mut reader = FrameReader::new(io::BufReader::new(stream));
+        assert_eq!(reader.read_line().unwrap_err().kind(), io::ErrorKind::WouldBlock);
+        assert_eq!(reader.next_frame("reading").unwrap(), Some(Frame::Stats));
+        assert!(reader.next_frame("reading").unwrap().is_none());
+    }
 
     #[test]
     fn values_render_and_reparse() {

@@ -16,14 +16,12 @@
 //! worker that dies mid-shard simply never completes its lease; the
 //! coordinator re-queues the shard and the fold is unaffected.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use adversary::enumerate::EnumerationConfig;
-use adversary::OmissionConfig;
 use set_consensus::BatchRunner;
 use sweep::experiments::{self, Fig4Reducer, Thm1Reducer, Thm3Reducer, THM3_CASES};
 use sweep::{fold_shard_stats, shard_ranges, Reducer, Scenario, ScenarioSource, SweepStats};
@@ -33,7 +31,7 @@ use crate::client::open;
 use crate::net::{ConnectOptions, Endpoint, Stream};
 use crate::pool::WorkerState;
 use crate::wire::{
-    self, encode_line, Frame, LeaseDone, LeaseFailed, QueryKind, TaskSpec, ToWire, Value,
+    encode_line, Frame, FrameReader, LeaseDone, LeaseFailed, QueryKind, TaskSpec, ToWire, Value,
 };
 use crate::ServiceError;
 
@@ -84,7 +82,7 @@ pub fn run(options: &WorkerOptions) -> Result<(), ServiceError> {
     let stream = open(&options.endpoint, &options.connect)?;
     let write_half = stream.try_clone()?;
     let writer: Writer = Arc::new(Mutex::new(write_half));
-    let mut reader = BufReader::new(stream);
+    let mut reader = FrameReader::new(BufReader::new(stream));
 
     if !send(&writer, &Frame::Register) {
         return Err(ServiceError::Protocol("connection closed during registration".into()));
@@ -215,20 +213,8 @@ pub fn run(options: &WorkerOptions) -> Result<(), ServiceError> {
 }
 
 /// Reads one frame, `None` on EOF.
-fn read_frame(reader: &mut BufReader<Stream>) -> Result<Option<Frame>, ServiceError> {
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let read =
-            reader.read_line(&mut line).map_err(|e| ServiceError::io("reading a frame", e))?;
-        if read == 0 {
-            return Ok(None);
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        return Ok(Some(wire::decode_line(&line)?));
-    }
+fn read_frame(frames: &mut FrameReader<BufReader<Stream>>) -> Result<Option<Frame>, ServiceError> {
+    frames.next_frame("reading a frame")
 }
 
 /// The per-scenario job of a query, as a plain function pointer (mirrors
@@ -249,14 +235,7 @@ pub(crate) fn execute_task(
                     reason: "thm1 lease without an explicit scope".into(),
                 });
             };
-            let config = EnumerationConfig {
-                n: scope.n,
-                t: scope.t,
-                max_value: scope.max_value,
-                max_crash_round: scope.max_crash_round,
-                partial_delivery: scope.partial_delivery,
-            };
-            let source = experiments::thm1_source(config, scope.k)?;
+            let source = experiments::thm1_source(scope.enumeration(), scope.k)?;
             fold_task(&source, &Thm1Reducer, experiments::thm1_job, task, state)
         }
         QueryKind::Omission => {
@@ -265,15 +244,7 @@ pub(crate) fn execute_task(
                     reason: "omission lease without an explicit scope".into(),
                 });
             };
-            // Shared wire frame: `max_crash_round` carries the omission
-            // round horizon (see `wire::ScopeSpec`).
-            let config = OmissionConfig {
-                n: scope.n,
-                t: scope.t,
-                max_value: scope.max_value,
-                rounds: scope.max_crash_round,
-            };
-            let source = experiments::omission_source(config, scope.k)?;
+            let source = experiments::omission_source(scope.omission(), scope.k)?;
             fold_task(&source, &Thm1Reducer, experiments::thm1_job, task, state)
         }
         QueryKind::Thm3 => {
@@ -358,13 +329,7 @@ mod tests {
         let mut state = warm_state();
         let (payload, range, _stats) = execute_task(&task, &mut state).expect("task executes");
         // Reference: the same shard folded directly.
-        let config = EnumerationConfig {
-            n: 3,
-            t: 1,
-            max_value: 1,
-            max_crash_round: 0,
-            partial_delivery: false,
-        };
+        let config = scope.enumeration();
         let source = experiments::thm1_source(config, 1).unwrap();
         let ranges = shard_ranges(source.len(), 3, source.structure_block());
         assert_eq!(range, ranges[1]);

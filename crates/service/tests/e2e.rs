@@ -93,10 +93,12 @@ impl RawConnection {
     }
 }
 
-/// A scope big enough (1040 scenarios) that a 1-worker daemon is reliably
-/// still executing it while a test submits, cancels or queues other jobs.
+/// A scope big enough that a 1-worker daemon is reliably still executing
+/// it while a test submits, cancels or queues other jobs: 25,616
+/// adversaries, swept as 97 canonical patterns × 16 inputs = 1,552
+/// scenarios by the symmetry reduction.
 const LONG_SCOPE: ScopeSpec =
-    ScopeSpec { n: 4, t: 1, k: 1, max_value: 1, max_crash_round: 2, partial_delivery: true };
+    ScopeSpec { n: 4, t: 2, k: 1, max_value: 1, max_crash_round: 2, partial_delivery: true };
 
 fn long_scope_spec(id: u64, shards: usize) -> JobSpec {
     JobSpec {
@@ -169,6 +171,9 @@ fn daemon_fold_is_bit_identical_to_in_process_cold_and_warm() {
             assert_eq!(cold.shards_cached, 0, "first run of a fingerprint must be fully cold");
             assert_eq!(cold.shards_executed, cold.shards_total);
             assert_eq!(cold.stats.scenarios, total_scenarios);
+            // The canonical scenarios stand for every adversary of the
+            // scope, and that count rides the wire.
+            assert_eq!(u128::from(cold.stats.covered), reference.adversaries);
             assert_eq!(cold.shard_frames.len() as u64, cold.shards_total);
             assert!(cold.partials > 0, "a cold run must stream partial folds");
             // No `sweep worker` ever registered with this daemon: the
@@ -335,10 +340,8 @@ fn thread_scaling_smoke() {
         eprintln!("thread_scaling_smoke: skipped (available_parallelism = {cores})");
         return;
     }
-    // A somewhat larger scope so the parallel arm has work to spread:
-    // n = 4, t = 1 ⇒ 1040 scenarios.
-    let scope =
-        ScopeSpec { n: 4, t: 1, k: 1, max_value: 1, max_crash_round: 2, partial_delivery: true };
+    // A somewhat larger scope so the parallel arm has work to spread.
+    let scope = LONG_SCOPE;
     let spec = |id: u64| JobSpec {
         id,
         query: QueryKind::Thm1,
@@ -527,6 +530,41 @@ fn concurrent_dispatch_lets_warm_jobs_overtake_long_ones() {
          (warm took {:?} from submit)",
         warm_done - overtake_started
     );
+    stop_daemon(&endpoint, handle);
+}
+
+/// A peer that streams more than `MAX_FRAME_BYTES` without a newline —
+/// here as its very first bytes, before any frame — gets a typed
+/// `protocol` error and is disconnected, instead of growing the daemon's
+/// line buffer without bound; the daemon keeps serving the next job.
+#[test]
+fn oversized_frame_lines_are_refused_and_the_daemon_keeps_serving() {
+    let (endpoint, handle) = start_daemon("oversized", 1);
+
+    let mut raw = RawConnection::connect(&endpoint);
+    let chunk = vec![b'x'; 64 * 1024];
+    let mut sent = 0;
+    while sent <= wire::MAX_FRAME_BYTES {
+        // The daemon may hang up mid-stream; a failed write ends the flood.
+        if raw.writer.write_all(&chunk).is_err() {
+            break;
+        }
+        sent += chunk.len();
+    }
+    match raw.read_frame() {
+        Frame::Error(error) => {
+            assert_eq!(error.kind, ErrorKind::Protocol);
+            assert_eq!(error.job, None);
+            assert!(error.message.contains("exceeds"), "{}", error.message);
+        }
+        other => panic!("expected a protocol error frame, got {other:?}"),
+    }
+    let mut rest = String::new();
+    assert_eq!(raw.reader.read_line(&mut rest).unwrap_or(0), 0, "the daemon hangs up");
+
+    let outcome = client::submit(&endpoint, &small_scope_spec(71, 2, true))
+        .expect("the daemon serves the next job");
+    assert_eq!(outcome.result, QueryResult::Thm1(vec![in_process_reference(2, 1).0]));
     stop_daemon(&endpoint, handle);
 }
 

@@ -181,10 +181,11 @@ impl RawConnection {
     }
 }
 
-/// The chaos scope: n = 4, t = 1 ⇒ 1040 scenarios, long enough that two
-/// workers are reliably mid-shard when one is SIGKILLed.
+/// The chaos scope: n = 4, t = 2 ⇒ 25,616 adversaries, swept as 1,552
+/// symmetry-reduced scenarios — long enough that two workers are reliably
+/// mid-shard when one is SIGKILLed.
 const CHAOS_SCOPE: ScopeSpec =
-    ScopeSpec { n: 4, t: 1, k: 1, max_value: 1, max_crash_round: 2, partial_delivery: true };
+    ScopeSpec { n: 4, t: 2, k: 1, max_value: 1, max_crash_round: 2, partial_delivery: true };
 
 /// The small scope of the cheaper tests: 200 scenarios.
 const SMALL_SCOPE: ScopeSpec =

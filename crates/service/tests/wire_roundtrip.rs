@@ -7,9 +7,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use service::wire::{
-    decode_line, encode_line, ErrorFrame, ErrorKind, Frame, JobDone, JobSpec, LeaseDone,
+    decode_line, encode_line, ErrorFrame, ErrorKind, Frame, FromWire, JobDone, JobSpec, LeaseDone,
     LeaseFailed, LeaseGrant, Partial, QueryKind, QueryResult, ScopeSpec, ShardDone, TaskSpec,
-    Value,
+    ToWire, Value,
 };
 use service::{JobOutcome, ServiceError};
 use sweep::experiments::{
@@ -19,8 +19,10 @@ use sweep::{CursorStats, SweepStats};
 use telemetry::{HistogramSnapshot, MetricsSnapshot};
 
 fn random_stats(rng: &mut StdRng) -> SweepStats {
+    let scenarios = rng.random_range(0..1_000_000u64);
     SweepStats {
-        scenarios: rng.random_range(0..1_000_000u64),
+        scenarios,
+        covered: scenarios * rng.random_range(1..121u64),
         cache: knowledge::CacheStats {
             hits: rng.random_range(0..u32::MAX as u64),
             misses: rng.random_range(0..1000u64),
@@ -418,6 +420,19 @@ fn adversarial_input_never_panics() {
     if corrupted != line {
         assert!(decode_line(&corrupted).is_err());
     }
+}
+
+/// `SweepStats.covered` rides the wire, and a peer that predates it (no
+/// `covered` field) decodes as covering exactly its executed scenarios.
+#[test]
+fn stats_without_covered_decode_as_covering_their_scenarios() {
+    let mut rng = StdRng::seed_from_u64(0x0B17);
+    let stats = random_stats(&mut rng);
+    assert_eq!(SweepStats::from_wire(&stats.to_wire()).unwrap(), stats);
+    let Value::Object(fields) = stats.to_wire() else { panic!("stats encode as an object") };
+    let legacy = Value::Object(fields.into_iter().filter(|(key, _)| key != "covered").collect());
+    let decoded = SweepStats::from_wire(&legacy).unwrap();
+    assert_eq!(decoded, SweepStats { covered: stats.scenarios, ..stats });
 }
 
 /// The client-facing outcome type keeps its derived equality usable for

@@ -126,6 +126,11 @@ pub use adversary::enumerate::CursorCounters as CursorStats;
 pub struct SweepStats {
     /// Number of scenarios executed.
     pub scenarios: u64,
+    /// Number of scenarios the executed ones stand for: the sum of their
+    /// [`Scenario::weight`]s.  Equal to `scenarios` except on
+    /// symmetry-reduced sources, where each canonical scenario covers its
+    /// whole process-renaming orbit.
+    pub covered: u64,
     /// Knowledge-analysis cache counters summed over the per-worker caches
     /// (all zeros for jobs that never request an analysis).
     pub cache: CacheStats,
@@ -144,6 +149,7 @@ impl SweepStats {
     /// chain several sweeps).
     pub fn merge(&mut self, other: SweepStats) {
         self.scenarios += other.scenarios;
+        self.covered += other.covered;
         self.cache.merge(other.cache);
         self.runs.merge(other.runs);
         self.cursor.merge(other.cursor);
@@ -156,11 +162,16 @@ impl SweepStats {
     /// client, the benchmark) goes through this one renderer so the line
     /// stays greppable across the whole stack.
     pub fn stats_line(&self) -> String {
+        let covering = if self.covered == self.scenarios {
+            String::new()
+        } else {
+            format!(" (covering {} by process renaming)", self.covered)
+        };
         format!(
-            "sweep stats: {} scenarios; knowledge analyses: {} requested, {} constructed, \
-             {} served from cache (hit rate {:.1}%); run structures: {} simulated, \
-             {} reused (reuse rate {:.1}%); scenarios: {} stepped in place, {} materialized, \
-             {} patterns unranked (in-place rate {:.1}%)",
+            "sweep stats: {} scenarios{covering}; knowledge analyses: {} requested, \
+             {} constructed, {} served from cache (hit rate {:.1}%); run structures: \
+             {} simulated, {} reused (reuse rate {:.1}%); scenarios: {} stepped in place, \
+             {} materialized, {} patterns unranked (in-place rate {:.1}%)",
             self.scenarios,
             self.cache.lookups(),
             self.cache.constructions(),
@@ -189,6 +200,12 @@ pub struct Scenario {
     pub variant: TaskVariant,
     /// The adversary.
     pub adversary: Adversary,
+    /// How many scenarios of the full space this one stands for: `1`,
+    /// except on a symmetry-reduced source
+    /// (`source::ExhaustiveSource::symmetric`), where it is the size of the
+    /// pattern's process-renaming orbit.  The engine folds each outcome
+    /// with this weight ([`Reducer::fold_weighted`]).
+    pub weight: u64,
 }
 
 /// A deterministic, randomly-addressable stream of scenarios.
@@ -311,8 +328,9 @@ impl<S: ScenarioSource + ?Sized> ScenarioCursor for NthCursor<'_, S> {
 /// Counters, histograms, keyed maxima/minima and keyed first-writer maps
 /// all qualify; anything sensitive to global interleaving does not.
 pub trait Reducer: Sync {
-    /// Per-scenario outcome produced by the job closure.
-    type Item: Send;
+    /// Per-scenario outcome produced by the job closure.  `Clone` so the
+    /// default [`Reducer::fold_weighted`] can fold it repeatedly.
+    type Item: Send + Clone;
     /// Shard accumulator.
     type Acc: Send;
 
@@ -321,6 +339,21 @@ pub trait Reducer: Sync {
 
     /// Folds one outcome into a shard accumulator.
     fn fold(&self, acc: &mut Self::Acc, item: Self::Item);
+
+    /// Folds one outcome that stands for `weight` equal scenarios (see
+    /// [`Scenario::weight`]).  Must equal `weight` consecutive
+    /// [`Reducer::fold`]s of the item, which the default does literally;
+    /// a reducer may override it with the closed form (counts times
+    /// `weight`, flags once).
+    fn fold_weighted(&self, acc: &mut Self::Acc, item: Self::Item, weight: u64) {
+        if weight == 0 {
+            return;
+        }
+        for _ in 1..weight {
+            self.fold(acc, item.clone());
+        }
+        self.fold(acc, item);
+    }
 
     /// Merges two adjacent shard accumulators (`left` covers earlier
     /// scenario indices).
@@ -370,7 +403,11 @@ pub fn shard_ranges(total: usize, shards: usize, block: usize) -> Vec<(usize, us
 /// enumeration order, a different shard alignment rule, a reducer-law
 /// change — and every stale accumulator silently becomes a cache miss
 /// instead of a wrong answer.
-pub const FOLD_SEMANTICS_VERSION: u32 = 2;
+///
+/// Version 3: the Theorem 1 and omission sources sweep one canonical
+/// pattern per process-renaming orbit, so a shard range indexes a
+/// different (reduced) scenario order.
+pub const FOLD_SEMANTICS_VERSION: u32 = 3;
 
 /// Folds the scenarios of one contiguous index range into a fresh
 /// accumulator, using a caller-owned runner and scratch slot.
@@ -380,7 +417,9 @@ pub const FOLD_SEMANTICS_VERSION: u32 = 2;
 /// `service` daemon's persistent worker pool (which owns long-lived runners
 /// and calls this per queued shard).  `use_cursor` selects between the
 /// source's [`ScenarioSource::cursor`] and per-index materialization —
-/// exactly the [`SweepConfig::cursor`] knob.
+/// exactly the [`SweepConfig::cursor`] knob.  Each outcome is folded with
+/// its scenario's [`Scenario::weight`]; the third value returned is the
+/// sum of those weights ([`SweepStats::covered`]).
 ///
 /// # Errors
 ///
@@ -393,20 +432,22 @@ pub fn fold_shard_range<S, R, F>(
     scratch: &mut Option<Scenario>,
     range: (usize, usize),
     use_cursor: bool,
-) -> Result<(R::Acc, CursorStats), ModelError>
+) -> Result<(R::Acc, CursorStats, u64), ModelError>
 where
     S: ScenarioSource + ?Sized,
     R: Reducer,
     F: Fn(&mut BatchRunner, &Scenario) -> Result<R::Item, ModelError>,
 {
     let mut acc = reducer.empty();
+    let mut covered = 0u64;
     if use_cursor {
         let mut cursor = source.cursor(range.0, range.1);
         while cursor.next(scratch)? {
             let scenario = scratch.as_ref().expect("the cursor just yielded a scenario");
-            reducer.fold(&mut acc, job(runner, scenario)?);
+            reducer.fold_weighted(&mut acc, job(runner, scenario)?, scenario.weight);
+            covered += scenario.weight;
         }
-        Ok((acc, cursor.stats()))
+        Ok((acc, cursor.stats(), covered))
     } else {
         // The pre-cursor path, kept as the A/B arm: materialize every
         // scenario per index.
@@ -414,9 +455,10 @@ where
         for index in range.0..range.1 {
             let scenario = source.scenario(index)?;
             stats.materialized += 1;
-            reducer.fold(&mut acc, job(runner, &scenario)?);
+            reducer.fold_weighted(&mut acc, job(runner, &scenario)?, scenario.weight);
+            covered += scenario.weight;
         }
-        Ok((acc, stats))
+        Ok((acc, stats, covered))
     }
 }
 
@@ -454,9 +496,11 @@ fn shard_stats(
     before: (CacheStats, RunReuseStats),
     after: (CacheStats, RunReuseStats),
     cursor: CursorStats,
+    covered: u64,
 ) -> SweepStats {
     SweepStats {
         scenarios: (range.1 - range.0) as u64,
+        covered,
         cache: CacheStats {
             hits: after.0.hits - before.0.hits,
             misses: after.0.misses - before.0.misses,
@@ -492,8 +536,9 @@ where
     F: Fn(&mut BatchRunner, &Scenario) -> Result<R::Item, ModelError>,
 {
     let before = runner_counters(runner);
-    let (acc, cursor) = fold_shard_range(source, reducer, job, runner, scratch, range, use_cursor)?;
-    let stats = shard_stats(range, before, runner_counters(runner), cursor);
+    let (acc, cursor, covered) =
+        fold_shard_range(source, reducer, job, runner, scratch, range, use_cursor)?;
+    let stats = shard_stats(range, before, runner_counters(runner), cursor, covered);
     Ok((acc, stats))
 }
 
@@ -893,17 +938,20 @@ mod tests {
     fn sweep_stats_merge_adds_counters() {
         let mut stats = SweepStats {
             scenarios: 3,
+            covered: 9,
             cache: CacheStats { hits: 1, misses: 2 },
             runs: RunReuseStats { simulated: 1, reused: 4 },
             cursor: CursorStats { materialized: 1, stepped: 2, patterns_unranked: 1 },
         };
         stats.merge(SweepStats {
             scenarios: 4,
+            covered: 4,
             cache: CacheStats { hits: 10, misses: 20 },
             runs: RunReuseStats { simulated: 2, reused: 8 },
             cursor: CursorStats { materialized: 1, stepped: 3, patterns_unranked: 2 },
         });
         assert_eq!(stats.scenarios, 7);
+        assert_eq!(stats.covered, 13);
         assert_eq!(stats.cache, CacheStats { hits: 11, misses: 22 });
         assert_eq!(stats.runs, RunReuseStats { simulated: 3, reused: 12 });
         assert_eq!(stats.cursor, CursorStats { materialized: 2, stepped: 5, patterns_unranked: 3 });

@@ -74,7 +74,8 @@ pub struct Thm1Outcome {
 }
 
 /// The [`Reducer`] of the Theorem 1 sweep (saturating flags, summed
-/// counters — trivially concatenation-compatible).
+/// counters — trivially concatenation-compatible).  Its weighted fold
+/// multiplies the counters and sets the flags once.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Thm1Reducer;
 
@@ -87,10 +88,17 @@ impl Reducer for Thm1Reducer {
     }
 
     fn fold(&self, acc: &mut Thm1Outcome, item: Thm1Outcome) {
-        acc.violations += item.violations;
+        self.fold_weighted(acc, item, 1);
+    }
+
+    fn fold_weighted(&self, acc: &mut Thm1Outcome, item: Thm1Outcome, weight: u64) {
+        if weight == 0 {
+            return;
+        }
+        acc.violations += item.violations * weight;
         acc.beaten[0] |= item.beaten[0];
         acc.beaten[1] |= item.beaten[1];
-        acc.structure += item.structure;
+        acc.structure += item.structure * weight;
     }
 
     fn merge(&self, mut left: Thm1Outcome, right: Thm1Outcome) -> Thm1Outcome {
@@ -124,7 +132,10 @@ pub fn thm1_scope(n: usize, t: usize, k: usize) -> EnumerationConfig {
 }
 
 /// Builds the exhaustive [`ExhaustiveSource`] of a Theorem 1 case over an
-/// arbitrary scope.
+/// arbitrary scope, reduced to one canonical failure pattern per
+/// process-renaming orbit ([`ExhaustiveSource::symmetric`]): [`thm1_job`]
+/// reads only rename-invariant knowledge, so the weighted fold equals the
+/// full one.  `ExhaustiveSource::new` over the same space is the oracle.
 ///
 /// # Errors
 ///
@@ -132,7 +143,7 @@ pub fn thm1_scope(n: usize, t: usize, k: usize) -> EnumerationConfig {
 pub fn thm1_source(scope: EnumerationConfig, k: usize) -> Result<ExhaustiveSource, ModelError> {
     let space = AdversarySpace::new(scope)?;
     let params = TaskParams::new(SystemParams::new(scope.n, scope.t)?, k)?;
-    ExhaustiveSource::new(space, params, TaskVariant::Nonuniform)
+    ExhaustiveSource::symmetric(space, params, TaskVariant::Nonuniform)
 }
 
 /// The per-scenario job of the Theorem 1 sweep: execute `Optmin[k]` and
@@ -242,14 +253,27 @@ pub fn thm1_with_stats(config: &SweepConfig) -> Result<(Vec<Thm1Case>, SweepStat
     let mut rows = Vec::new();
     let mut stats = SweepStats::default();
     for (n, t, k) in THM1_CASES {
-        let scope = thm1_scope(n, t, k);
-        let source = thm1_source(scope, k)?;
-        let adversaries = source.space().len();
-        let (acc, case_stats) = sweep_with_stats(&source, config, &Thm1Reducer, thm1_job)?;
+        let (row, case_stats) = thm1_case(config, thm1_scope(n, t, k), k)?;
         stats.merge(case_stats);
-        rows.push(thm1_case_row(&scope, k, adversaries, acc));
+        rows.push(row);
     }
     Ok((rows, stats))
+}
+
+/// Sweeps one Theorem 1 case over an arbitrary scope: the row of
+/// [`thm1_with_stats`] for a scope outside [`THM1_CASES`].
+///
+/// # Errors
+///
+/// Propagates invalid `(n, t, k)` parameters and model errors.
+pub fn thm1_case(
+    config: &SweepConfig,
+    scope: EnumerationConfig,
+    k: usize,
+) -> Result<(Thm1Case, SweepStats), ModelError> {
+    let source = thm1_source(scope, k)?;
+    let (acc, stats) = sweep_with_stats(&source, config, &Thm1Reducer, thm1_job)?;
+    Ok((thm1_case_row(&scope, k, source.space().len(), acc), stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -270,7 +294,8 @@ pub fn omission_scope(n: usize, t: usize, k: usize) -> OmissionConfig {
 }
 
 /// Builds the exhaustive [`ExhaustiveSource`] of an omission-scan case
-/// over an arbitrary omission scope.
+/// over an arbitrary omission scope, reduced by process renaming like
+/// [`thm1_source`].
 ///
 /// # Errors
 ///
@@ -278,7 +303,7 @@ pub fn omission_scope(n: usize, t: usize, k: usize) -> OmissionConfig {
 pub fn omission_source(scope: OmissionConfig, k: usize) -> Result<ExhaustiveSource, ModelError> {
     let space = AdversarySpace::omission(scope)?;
     let params = TaskParams::new(SystemParams::new(scope.n, scope.t)?, k)?;
-    ExhaustiveSource::new(space, params, TaskVariant::Nonuniform)
+    ExhaustiveSource::symmetric(space, params, TaskVariant::Nonuniform)
 }
 
 /// Assembles the [`Thm1Case`] row of one swept omission scope from its
@@ -333,14 +358,27 @@ pub fn omission_with_stats(
     let mut rows = Vec::new();
     let mut stats = SweepStats::default();
     for (n, t, k) in OMISSION_CASES {
-        let scope = omission_scope(n, t, k);
-        let source = omission_source(scope, k)?;
-        let adversaries = source.space().len();
-        let (acc, case_stats) = sweep_with_stats(&source, config, &Thm1Reducer, thm1_job)?;
+        let (row, case_stats) = omission_case(config, omission_scope(n, t, k), k)?;
         stats.merge(case_stats);
-        rows.push(omission_case_row(&scope, k, adversaries, acc));
+        rows.push(row);
     }
     Ok((rows, stats))
+}
+
+/// Sweeps one omission-scan case over an arbitrary omission scope (the
+/// omission twin of [`thm1_case`]).
+///
+/// # Errors
+///
+/// Propagates invalid `(n, t, k)` parameters and model errors.
+pub fn omission_case(
+    config: &SweepConfig,
+    scope: OmissionConfig,
+    k: usize,
+) -> Result<(Thm1Case, SweepStats), ModelError> {
+    let source = omission_source(scope, k)?;
+    let (acc, stats) = sweep_with_stats(&source, config, &Thm1Reducer, thm1_job)?;
+    Ok((omission_case_row(&scope, k, source.space().len(), acc), stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -570,6 +608,7 @@ pub fn fig4_source() -> Result<(FixedSource, Vec<Fig4Shape>), ModelError> {
                 params,
                 variant: TaskVariant::Uniform,
                 adversary: scenario.adversary,
+                weight: 1,
             });
         }
     }

@@ -22,7 +22,11 @@
 //!   caller-owned scratch instead of materializing them per index; the
 //!   exhaustive source's *block cursor* unranks each failure pattern once
 //!   per block and steps the mixed-radix input code in place, so a worker's
-//!   steady state allocates nothing per scenario;
+//!   steady state allocates nothing per scenario.  Built with
+//!   [`source::ExhaustiveSource::symmetric`] (as the Theorem 1 and omission
+//!   sources are), an exhaustive source sweeps one canonical failure
+//!   pattern per process-renaming orbit and gives each [`Scenario`] its
+//!   orbit size as [`Scenario::weight`];
 //! * [`sweep`] (and [`sweep_with_stats`]) — partitions the scenario space
 //!   into deterministic contiguous shards (aligned to the source's
 //!   structure block) and lets worker threads *steal* shards from a shared
@@ -41,7 +45,8 @@
 //!   reported through [`SweepStats`];
 //! * [`Reducer`] — folds per-run outcomes (decision-time histograms, check
 //!   violations, domination counters, …) into per-shard accumulators that
-//!   are merged in shard order.  The reducer law
+//!   are merged in shard order, each outcome with its scenario's weight
+//!   ([`Reducer::fold_weighted`]).  The reducer law
 //!   `merge(fold(A), fold(B)) == fold(A ++ B)` makes the final result
 //!   **independent of the shard and thread counts** — the same
 //!   [`SweepConfig::seed`] yields bit-identical folds at `--threads 1` and
@@ -62,13 +67,19 @@
 //! fields, in order:
 //!
 //! ```text
-//! sweep stats: <S> scenarios;
+//! sweep stats: <S> scenarios[ (covering <W> by process renaming)];
 //!   knowledge analyses: <L> requested, <C> constructed, <H> served from cache (hit rate <..>%);
 //!   run structures: <sim> simulated, <reu> reused (reuse rate <..>%);
 //!   scenarios: <st> stepped in place, <mat> materialized, <pat> patterns unranked (in-place rate <..>%)
 //! ```
 //!
 //! * `<S>` — [`SweepStats::scenarios`], the number of scenarios executed.
+//! * `<W>` — [`SweepStats::covered`], the number of scenarios they stand
+//!   for: the sum of their weights.  On a symmetry-reduced source each
+//!   canonical scenario covers its whole process-renaming orbit, so the
+//!   parenthesis appears exactly when `<W>` differs from `<S>` (e.g.
+//!   `10923 scenarios (covering 167890 by process renaming)` for
+//!   `sweep thm1`).
 //! * `<L>`/`<C>`/`<H>` — the [`knowledge::CacheStats`] of the per-worker
 //!   analysis caches, summed: `ViewAnalysis` lookups requested, full
 //!   constructions actually performed, and constructions avoided (served

@@ -80,8 +80,8 @@ impl<K, V, F: Fn(&mut V, V)> KeyedReducer<K, V, F> {
 
 impl<K, V, F> Reducer for KeyedReducer<K, V, F>
 where
-    K: Ord + Send,
-    V: Send,
+    K: Ord + Send + Clone,
+    V: Send + Clone,
     F: Fn(&mut V, V) + Sync,
 {
     type Item = (K, V);

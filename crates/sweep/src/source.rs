@@ -1,7 +1,10 @@
 //! Scenario sources: adapters from the `adversary` generators to the
 //! engine's randomly-addressable [`ScenarioSource`] interface.
 
+use std::sync::{Arc, OnceLock};
+
 use adversary::enumerate::{AdversaryCursor, AdversarySpace};
+use adversary::symmetry::{self, OrbitTable};
 use adversary::{RandomAdversaries, RandomConfig};
 use set_consensus::{TaskParams, TaskVariant};
 use synchrony::{Adversary, InputVector, ModelError};
@@ -13,11 +16,21 @@ use crate::engine::{CursorStats, Scenario, ScenarioCursor, ScenarioSource};
 ///
 /// Random access is delegated to [`AdversarySpace::nth`], so a shard's
 /// first scenario costs the same as any other — no sequential replay.
+///
+/// Built with [`ExhaustiveSource::new`] it yields every adversary, each
+/// with weight 1.  Built with [`ExhaustiveSource::symmetric`] it yields
+/// only the canonical pattern of each process-renaming orbit (crossed with
+/// every input vector), each scenario weighted by its orbit size; the full
+/// source is the oracle the reduced one is tested against.
 #[derive(Debug, Clone)]
 pub struct ExhaustiveSource {
     space: AdversarySpace,
     params: TaskParams,
     variant: TaskVariant,
+    /// `None` for the full enumeration; for a symmetric source, the orbit
+    /// table, looked up on first use (building it costs milliseconds, so
+    /// constructing a source stays free).
+    orbits: Option<OnceLock<Arc<OrbitTable>>>,
 }
 
 impl ExhaustiveSource {
@@ -40,26 +53,64 @@ impl ExhaustiveSource {
                 ),
             });
         }
-        Ok(ExhaustiveSource { space, params, variant })
+        Ok(ExhaustiveSource { space, params, variant, orbits: None })
     }
 
-    /// Returns the underlying adversary space.
+    /// Wraps an adversary space, sweeping one canonical pattern per
+    /// process-renaming orbit (see `adversary::symmetry`).
+    ///
+    /// Sound only for jobs whose outcome is invariant under renaming the
+    /// processes of the adversary, and for spaces closed under renaming
+    /// (both built-in pattern spaces are).  A space too large to tabulate
+    /// (`symmetry::reducible` is false) is swept in full instead.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ExhaustiveSource::new`].
+    pub fn symmetric(
+        space: AdversarySpace,
+        params: TaskParams,
+        variant: TaskVariant,
+    ) -> Result<Self, ModelError> {
+        let mut source = Self::new(space, params, variant)?;
+        if symmetry::reducible(source.space.pattern_space()) {
+            source.orbits = Some(OnceLock::new());
+        }
+        Ok(source)
+    }
+
+    /// Returns the underlying (full) adversary space.
     pub fn space(&self) -> &AdversarySpace {
         &self.space
+    }
+
+    /// Returns the orbit table of a symmetric source, `None` for a full one.
+    pub fn orbits(&self) -> Option<&OrbitTable> {
+        let cell = self.orbits.as_ref()?;
+        Some(cell.get_or_init(|| symmetry::orbits(self.space.pattern_space())))
     }
 }
 
 impl ScenarioSource for ExhaustiveSource {
     fn len(&self) -> usize {
-        self.space.len() as usize
+        match self.orbits() {
+            Some(orbits) => orbits.len() * self.structure_block(),
+            None => self.space.len() as usize,
+        }
     }
 
     fn scenario(&self, index: usize) -> Result<Scenario, ModelError> {
+        let block = self.structure_block();
+        let (rank, weight) = match self.orbits() {
+            Some(orbits) => (orbits.ranks()[index / block], orbits.weights()[index / block]),
+            None => ((index / block) as u128, 1),
+        };
         Ok(Scenario {
             index,
             params: self.params,
             variant: self.variant,
-            adversary: self.space.nth(index as u128),
+            adversary: self.space.nth(rank * block as u128 + (index % block) as u128),
+            weight,
         })
     }
 
@@ -77,9 +128,21 @@ impl ScenarioSource for ExhaustiveSource {
     /// worker's scratch scenario — zero per-scenario pattern/input
     /// allocations in steady state, versus a full [`AdversarySpace::nth`]
     /// materialization per index on the default path.
+    ///
+    /// A symmetric source walks its canonical pattern ranks through
+    /// [`AdversarySpace::cursor_over`], with the same counters.
     fn cursor(&self, start: usize, end: usize) -> Box<dyn ScenarioCursor + '_> {
+        let (start_u, end_u) = (start as u128, end as u128);
+        let (inner, weights) = match self.orbits() {
+            Some(orbits) => {
+                (self.space.cursor_over(orbits.ranks(), start_u, end_u), orbits.weights())
+            }
+            None => (self.space.cursor(start_u, end_u), &[][..]),
+        };
         Box::new(BlockCursor {
-            inner: self.space.cursor(start as u128, end as u128),
+            inner,
+            weights,
+            block: self.structure_block(),
             n: self.space.n(),
             params: self.params,
             variant: self.variant,
@@ -92,6 +155,9 @@ impl ScenarioSource for ExhaustiveSource {
 /// [`AdversaryCursor`], which does the actual in-place stepping.
 struct BlockCursor<'a> {
     inner: AdversaryCursor<'a>,
+    /// Orbit size per block; empty for the full enumeration (weight 1).
+    weights: &'a [u64],
+    block: usize,
     n: usize,
     params: TaskParams,
     variant: TaskVariant,
@@ -112,6 +178,7 @@ impl ScenarioCursor for BlockCursor<'_> {
                 variant: self.variant,
                 adversary: Adversary::failure_free(InputVector::uniform(self.n, 0))
                     .expect("enumeration scopes have at least two processes"),
+                weight: 1,
             }),
         };
         if !self.inner.advance(&mut scenario.adversary) {
@@ -120,6 +187,7 @@ impl ScenarioCursor for BlockCursor<'_> {
         scenario.index = self.index;
         scenario.params = self.params;
         scenario.variant = self.variant;
+        scenario.weight = self.weights.get(self.index / self.block).copied().unwrap_or(1);
         self.index += 1;
         Ok(true)
     }
@@ -175,7 +243,7 @@ impl ScenarioSource for RandomSource {
     fn scenario(&self, index: usize) -> Result<Scenario, ModelError> {
         let seed = Self::stream_seed(self.seed, index as u64);
         let adversary = RandomAdversaries::new(self.config, seed).next_adversary();
-        Ok(Scenario { index, params: self.params, variant: self.variant, adversary })
+        Ok(Scenario { index, params: self.params, variant: self.variant, adversary, weight: 1 })
     }
 }
 
@@ -297,8 +365,13 @@ mod tests {
     #[test]
     fn fixed_source_reindexes() {
         let adversary = AdversarySpace::new(EnumerationConfig::small(3, 1, 1)).unwrap().nth(0);
-        let scenario =
-            Scenario { index: 99, params: params(), variant: TaskVariant::Uniform, adversary };
+        let scenario = Scenario {
+            index: 99,
+            params: params(),
+            variant: TaskVariant::Uniform,
+            adversary,
+            weight: 1,
+        };
         let source = FixedSource::new(vec![scenario.clone(), scenario]);
         assert_eq!(source.scenario(0).unwrap().index, 0);
         assert_eq!(source.scenario(1).unwrap().index, 1);

@@ -406,6 +406,11 @@ fn block_cursor_is_invisible_to_folds_and_materializes_nothing() {
         thm1_stats.cursor.patterns_unranked, thm1_stats.runs.simulated,
         "one pattern unranking per simulated communication structure"
     );
+    // The Theorem 1 sources are symmetry-reduced: 7 of 25 and 6 of 51
+    // patterns, each crossed with every input vector, standing for the
+    // whole spaces.
+    assert_eq!(thm1_stats.scenarios, 7 * 8 + 6 * 243);
+    assert_eq!(thm1_stats.covered, 200 + 12_393);
 }
 
 /// The per-shard engine hook behind the service daemon's accumulator
@@ -610,4 +615,158 @@ fn merge_shard_outcomes_rejects_unordered_shards() {
         sweep_shards(&source, &config, &Count, job, |_, _| None, |_| {}).unwrap();
     outcomes.swap(1, 2);
     let _ = merge_shard_outcomes(&Count, outcomes);
+}
+
+/// The full-enumeration twin of a symmetry-reduced source: the oracle.
+fn full_twin(source: &ExhaustiveSource, n: usize, t: usize, k: usize) -> ExhaustiveSource {
+    let params = TaskParams::new(SystemParams::new(n, t).unwrap(), k).unwrap();
+    ExhaustiveSource::new(source.space().clone(), params, TaskVariant::Nonuniform).unwrap()
+}
+
+/// The symmetry-reduction oracle: on every built-in Theorem 1 and omission
+/// case, the fold over canonical patterns weighted by orbit size equals
+/// the fold over the full enumeration, at every (shards, threads) pair.
+/// The omission folds carry nonzero violation counts, so the weighting of
+/// the counters is checked, not only the zero case.
+#[test]
+fn symmetric_folds_equal_the_full_enumeration() {
+    use sweep::experiments::{self, thm1_job, Thm1Reducer};
+
+    let crash = experiments::THM1_CASES.iter().map(|&(n, t, k)| {
+        ("crash", (n, t, k), experiments::thm1_source(experiments::thm1_scope(n, t, k), k))
+    });
+    let omission = experiments::OMISSION_CASES.iter().map(|&(n, t, k)| {
+        (
+            "omission",
+            (n, t, k),
+            experiments::omission_source(experiments::omission_scope(n, t, k), k),
+        )
+    });
+    let mut nonzero = 0;
+    for (model, (n, t, k), source) in crash.chain(omission) {
+        let source = source.unwrap();
+        assert!(source.orbits().is_some(), "{model} ({n},{t},{k}) is reduced");
+        let oracle = full_twin(&source, n, t, k);
+        assert!(oracle.orbits().is_none());
+        let parallel = SweepConfig { threads: 2, ..SweepConfig::default() };
+        let (expected, full_stats) =
+            sweep_with_stats(&oracle, &parallel, &Thm1Reducer, thm1_job).unwrap();
+        assert_eq!(full_stats.covered, full_stats.scenarios);
+        nonzero += u64::from(expected.violations > 0);
+        for shards in [1, 4, 7] {
+            for threads in [1, 2] {
+                let config = SweepConfig { shards, threads, ..SweepConfig::default() };
+                let (fold, stats) =
+                    sweep_with_stats(&source, &config, &Thm1Reducer, thm1_job).unwrap();
+                assert_eq!(
+                    fold, expected,
+                    "{model} ({n},{t},{k}) diverged at shards={shards}, threads={threads}"
+                );
+                assert_eq!(stats.scenarios as usize, source.len());
+                assert_eq!(stats.covered, full_stats.scenarios, "{model} ({n},{t},{k})");
+            }
+        }
+    }
+    assert_eq!(nonzero, 2, "both omission folds have violations to weight");
+}
+
+/// The orbit weights of every built-in scope sum to the scope's pattern
+/// count, with the canonical counts pinned (plus the n = 5
+/// partial-delivery scope the CI symmetry smoke sweeps).
+#[test]
+fn orbit_weights_cover_every_pattern() {
+    use adversary::symmetry::orbits;
+    use sweep::experiments::{omission_scope, thm1_scope};
+
+    let crash = [
+        (thm1_scope(3, 1, 1), 25, 7),
+        (thm1_scope(4, 2, 1), 1_601, 97),
+        (thm1_scope(4, 2, 2), 1_601, 97),
+        (thm1_scope(5, 2, 2), 51, 6),
+        (EnumerationConfig { partial_delivery: true, ..thm1_scope(5, 2, 2) }, 10_401, 183),
+    ];
+    let omission = [(omission_scope(3, 1, 1), 100, 19), (omission_scope(4, 1, 1), 841, 49)];
+    let spaces =
+        crash.into_iter().map(|(scope, p, c)| (AdversarySpace::new(scope).unwrap(), p, c)).chain(
+            omission
+                .into_iter()
+                .map(|(scope, p, c)| (AdversarySpace::omission(scope).unwrap(), p, c)),
+        );
+    for (space, patterns, canonical) in spaces {
+        let table = orbits(space.pattern_space());
+        let key = space.pattern_space().scope_key();
+        assert_eq!(space.num_patterns(), patterns, "{key}");
+        assert_eq!(table.len(), canonical, "{key}");
+        assert_eq!(table.covered(), space.num_patterns(), "{key}");
+        assert!(table.ranks().windows(2).all(|w| w[0] < w[1]), "{key}: ranks increase");
+    }
+}
+
+/// A symmetric source walks its canonical blocks through the block
+/// cursor exactly as `scenario()` addresses them, weights included, and
+/// keeps the cursor invariants: one materialization per non-empty shard,
+/// one unranking per canonical block.
+#[test]
+fn symmetric_cursor_matches_per_index_scenarios() {
+    use sweep::experiments::{thm1_scope, thm1_source};
+
+    let source = thm1_source(thm1_scope(4, 2, 1), 1).unwrap();
+    let orbits = source.orbits().unwrap();
+    let block = source.structure_block();
+    assert_eq!(source.len(), orbits.len() * block);
+    for (start, end) in
+        [(0, source.len()), (block / 2, 5 * block + 3), (source.len(), source.len())]
+    {
+        let mut cursor = source.cursor(start, end);
+        let mut scratch = None;
+        let mut index = start;
+        while cursor.next(&mut scratch).unwrap() {
+            let yielded = scratch.as_ref().unwrap();
+            let expected = source.scenario(index).unwrap();
+            assert_eq!(yielded.index, index);
+            assert_eq!(yielded.adversary, expected.adversary, "index {index}");
+            assert_eq!(yielded.weight, expected.weight, "index {index}");
+            assert_eq!(yielded.weight, orbits.weights()[index / block]);
+            index += 1;
+        }
+        assert_eq!(index, end);
+        let stats = cursor.stats();
+        assert_eq!(stats.materialized, u64::from(end > start));
+        let blocks = if end > start { (end - 1) / block - start / block + 1 } else { 0 };
+        assert_eq!(stats.patterns_unranked as usize, blocks);
+    }
+}
+
+/// Reducer law of the weighted fold: `Thm1Reducer::fold_weighted(acc, x,
+/// w)` equals `w` plain folds of `x`, for random accumulators and items
+/// and every weight up to 120 (= 5!, the largest orbit of the built-in
+/// scopes).
+#[test]
+fn weighted_thm1_fold_equals_repeated_folds() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sweep::experiments::{Thm1Outcome, Thm1Reducer};
+    use sweep::Reducer;
+
+    let mut rng = StdRng::seed_from_u64(0x5EED_0B17);
+    let random_outcome = |rng: &mut StdRng| Thm1Outcome {
+        violations: rng.random_range(0..50u64),
+        beaten: [rng.random_range(0..4u64) == 0, rng.random_range(0..4u64) == 0],
+        structure: rng.random_range(0..50u64),
+    };
+    for weight in 1..=120u64 {
+        let start = random_outcome(&mut rng);
+        let item = random_outcome(&mut rng);
+        let mut weighted = start;
+        Thm1Reducer.fold_weighted(&mut weighted, item, weight);
+        let mut repeated = start;
+        for _ in 0..weight {
+            Thm1Reducer.fold(&mut repeated, item);
+        }
+        assert_eq!(weighted, repeated, "weight {weight}");
+    }
+    // Weight 0 folds nothing, as zero plain folds would.
+    let mut acc = Thm1Outcome::default();
+    Thm1Reducer.fold_weighted(&mut acc, random_outcome(&mut rng), 0);
+    assert_eq!(acc, Thm1Outcome::default());
 }

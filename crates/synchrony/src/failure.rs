@@ -310,6 +310,56 @@ impl FailurePattern {
         survives_crash && !self.omits(sender, round, receiver)
     }
 
+    /// Renames the processes: process `i` of `self` becomes process
+    /// `perm[i]` of the result, with its crash round, its delivery set and
+    /// its send omissions renamed alike.  Relabeling by `τ` and then by `σ`
+    /// equals relabeling by `σ ∘ τ`, and the inverse permutation undoes a
+    /// relabeling.
+    ///
+    /// ```
+    /// use synchrony::{FailurePattern, Round};
+    ///
+    /// let mut f = FailurePattern::crash_free(3);
+    /// f.crash(0, 1, [2])?;
+    /// let g = f.relabel(&[1, 2, 0]);
+    /// assert!(g.is_faulty(1) && g.is_correct(0));
+    /// assert!(g.delivers(1, Round::new(1), 0));
+    /// # Ok::<(), synchrony::ModelError>(())
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `perm` is not a permutation of `0 … n − 1`.
+    pub fn relabel(&self, perm: &[usize]) -> FailurePattern {
+        assert_eq!(perm.len(), self.n, "a relabeling names every process once");
+        let mut seen = vec![false; self.n];
+        for &image in perm {
+            assert!(image < self.n && !seen[image], "{perm:?} is not a permutation");
+            seen[image] = true;
+        }
+        let rename = |set: &PidSet| -> PidSet { set.iter().map(|p| perm[p.index()]).collect() };
+        FailurePattern {
+            n: self.n,
+            faults: self
+                .faults
+                .iter()
+                .map(|(p, c)| {
+                    (
+                        ProcessId::new(perm[p.index()]),
+                        CrashFault::new(c.round, rename(&c.delivered)),
+                    )
+                })
+                .collect(),
+            omissions: self
+                .omissions
+                .iter()
+                .map(|(&(p, round), dropped)| {
+                    ((ProcessId::new(perm[p.index()]), round), rename(dropped))
+                })
+                .collect(),
+        }
+    }
+
     /// Validates the pattern against system parameters: the pattern must range
     /// over exactly `params.n()` processes and contain at most `params.t()`
     /// crashes.
@@ -531,6 +581,61 @@ mod tests {
         f.crash_silent(0, 1).unwrap();
         let s = f.to_string();
         assert!(s.contains("crashes[") && s.contains("omits["), "unexpected display: {s}");
+    }
+
+    fn mixed_pattern() -> FailurePattern {
+        let mut f = FailurePattern::crash_free(4);
+        f.crash(0, 2, [1, 3]).unwrap();
+        f.crash_silent(2, 1).unwrap();
+        f.omit(1, 1, [0, 2]).unwrap();
+        f.omit(3, 2, [1]).unwrap();
+        f
+    }
+
+    #[test]
+    fn relabel_by_the_identity_is_the_identity() {
+        let f = mixed_pattern();
+        assert_eq!(f.relabel(&[0, 1, 2, 3]), f);
+    }
+
+    #[test]
+    fn relabel_moves_crashes_deliveries_and_omissions() {
+        let f = mixed_pattern();
+        let perm = [2, 0, 3, 1];
+        let g = f.relabel(&perm);
+        assert_eq!(g.num_faulty(), f.num_faulty());
+        for sender in 0..4 {
+            for receiver in 0..4 {
+                for round in 1..=3 {
+                    let round = Round::new(round);
+                    assert_eq!(
+                        g.delivers(perm[sender], round, perm[receiver]),
+                        f.delivers(sender, round, receiver),
+                        "{sender} -> {receiver} in {round}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relabel_composes_and_inverts() {
+        let f = mixed_pattern();
+        let (sigma, tau) = ([1, 3, 0, 2], [3, 2, 1, 0]);
+        // (σ ∘ τ)(i) = σ(τ(i)): relabel by τ first, then by σ.
+        let composed: Vec<usize> = (0..4).map(|i| sigma[tau[i]]).collect();
+        assert_eq!(f.relabel(&tau).relabel(&sigma), f.relabel(&composed));
+        let mut inverse = [0usize; 4];
+        for (i, &image) in sigma.iter().enumerate() {
+            inverse[image] = i;
+        }
+        assert_eq!(f.relabel(&sigma).relabel(&inverse), f);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn relabel_rejects_non_permutations() {
+        let _ = mixed_pattern().relabel(&[0, 0, 1, 2]);
     }
 
     #[test]

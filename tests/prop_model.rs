@@ -200,30 +200,12 @@ fn run_structure_is_input_invariant() {
 fn omission_run_structure_is_input_invariant() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use synchrony::{Adversary, FailurePattern, InputVector, StructureReuse};
+    use synchrony::{Adversary, InputVector, StructureReuse};
 
     let params = SystemParams::new(N, T).unwrap();
     let mut rng = StdRng::seed_from_u64(0xA009);
     for _ in 0..CASES {
-        // A random mobile omission pattern: per round, a budget-limited set
-        // of omitters, each dropping a nonempty subset of other receivers.
-        let mut failures = FailurePattern::crash_free(N);
-        for round in 1..=MAX_ROUND {
-            let mut budget = T;
-            for sender in 0..N {
-                if budget == 0 || !rng.random_bool(0.5) {
-                    continue;
-                }
-                let others: Vec<usize> = (0..N).filter(|&p| p != sender).collect();
-                let mut dropped: Vec<usize> =
-                    others.iter().copied().filter(|_| rng.random_bool(0.5)).collect();
-                if dropped.is_empty() {
-                    dropped.push(others[rng.random_range(0..others.len() as u64) as usize]);
-                }
-                failures.omit(sender, round, dropped).expect("generated omission is valid");
-                budget -= 1;
-            }
-        }
+        let failures = random_omission_pattern(&mut rng);
         let values: Vec<u64> = (0..N).map(|_| rng.random_range(0..=MAX_VALUE)).collect();
         let adversary = Adversary::new(InputVector::from_values(values), failures.clone()).unwrap();
         let reference = run_of(adversary);
@@ -240,5 +222,121 @@ fn omission_run_structure_is_input_invariant() {
             assert_eq!(reuse, StructureReuse::Reused);
             assert_eq!(reused, fresh);
         }
+    }
+}
+
+/// A random mobile omission pattern: per round, a budget-limited set of
+/// omitters, each dropping a nonempty subset of other receivers.
+fn random_omission_pattern(rng: &mut rand::rngs::StdRng) -> synchrony::FailurePattern {
+    use rand::Rng;
+
+    let mut failures = synchrony::FailurePattern::crash_free(N);
+    for round in 1..=MAX_ROUND {
+        let mut budget = T;
+        for sender in 0..N {
+            if budget == 0 || !rng.random_bool(0.5) {
+                continue;
+            }
+            let others: Vec<usize> = (0..N).filter(|&p| p != sender).collect();
+            let mut dropped: Vec<usize> =
+                others.iter().copied().filter(|_| rng.random_bool(0.5)).collect();
+            if dropped.is_empty() {
+                dropped.push(others[rng.random_range(0..others.len() as u64) as usize]);
+            }
+            failures.omit(sender, round, dropped).expect("generated omission is valid");
+            budget -= 1;
+        }
+    }
+    failures
+}
+
+/// Renaming processes is a symmetry of the model — the soundness
+/// assumption of the symmetry-reduced Theorem 1 and omission sweeps.  For
+/// random crash and omission adversaries `(P, x)` and random permutations
+/// `σ`, the run of `(σP, σx)` gives process `σ(i)` the decision (time and
+/// value) that `i` gets in the run of `(P, x)` under `Optmin[k]`,
+/// `EarlyFloodMin` and `FloodMin`; node `⟨σ(i), m⟩` has the lowness and
+/// hidden capacity of `⟨i, m⟩`; and the Theorem 1 job folds both runs to
+/// the same outcome.
+#[test]
+fn renaming_processes_renames_decisions_knowledge_and_checks() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use set_consensus::{
+        execute, BatchRunner, EarlyFloodMin, FloodMin, Optmin, Protocol, TaskParams, TaskVariant,
+    };
+    use sweep::experiments::thm1_job;
+    use sweep::Scenario;
+    use synchrony::{Adversary, InputVector};
+
+    const K: usize = 2;
+    let params = TaskParams::new(SystemParams::new(N, T).unwrap(), K).unwrap();
+    let mut rng = StdRng::seed_from_u64(0xA00A);
+    let crash: Vec<Adversary> = cases(0xA00A).collect();
+    let omission: Vec<Adversary> = (0..CASES)
+        .map(|_| {
+            let values: Vec<u64> = (0..N).map(|_| rng.random_range(0..=MAX_VALUE)).collect();
+            let failures = random_omission_pattern(&mut rng);
+            Adversary::new(InputVector::from_values(values), failures).unwrap()
+        })
+        .collect();
+    let mut runner = BatchRunner::new();
+    for adversary in crash.into_iter().chain(omission) {
+        // A uniform random permutation (Fisher–Yates).
+        let mut perm: Vec<usize> = (0..N).collect();
+        for i in (1..N).rev() {
+            perm.swap(i, rng.random_range(0..=i as u64) as usize);
+        }
+        let mut values = vec![0u64; N];
+        for (i, value) in adversary.inputs().iter() {
+            values[perm[i.index()]] = value.get();
+        }
+        let renamed =
+            Adversary::new(InputVector::from_values(values), adversary.failures().relabel(&perm))
+                .unwrap();
+
+        let protocols: [&dyn Protocol; 3] = [&Optmin, &EarlyFloodMin, &FloodMin];
+        for protocol in protocols {
+            let (_, original) = execute(protocol, &params, adversary.clone()).unwrap();
+            let (_, image) = execute(protocol, &params, renamed.clone()).unwrap();
+            for i in 0..N {
+                assert_eq!(
+                    image.decision_time(perm[i]),
+                    original.decision_time(i),
+                    "{} decision time of p{i} under {perm:?}",
+                    protocol.name()
+                );
+                assert_eq!(image.decision_value(perm[i]), original.decision_value(i));
+            }
+        }
+
+        let original = run_of(adversary.clone());
+        let image = run_of(renamed.clone());
+        for m in 0..=HORIZON {
+            let time = Time::new(m);
+            for i in 0..N {
+                assert_eq!(image.is_active(perm[i], time), original.is_active(i, time));
+                if !original.is_active(i, time) {
+                    continue;
+                }
+                let a = ViewAnalysis::new(&original, Node::new(i, time)).unwrap();
+                let b = ViewAnalysis::new(&image, Node::new(perm[i], time)).unwrap();
+                assert_eq!(b.hidden_capacity(), a.hidden_capacity(), "<p{i}, {m}> under {perm:?}");
+                for k in 1..=N {
+                    assert_eq!(b.is_low(k), a.is_low(k), "<p{i}, {m}> low for k = {k}");
+                }
+            }
+        }
+
+        let scenario = |adversary| Scenario {
+            index: 0,
+            params,
+            variant: TaskVariant::Nonuniform,
+            adversary,
+            weight: 1,
+        };
+        let original = thm1_job(&mut runner, &scenario(adversary)).unwrap();
+        let image = thm1_job(&mut runner, &scenario(renamed)).unwrap();
+        assert_eq!(image, original, "Theorem 1 outcome under {perm:?}");
     }
 }
